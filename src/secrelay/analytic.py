@@ -67,13 +67,14 @@ def legit_capacity_af(params: SystemParams) -> float:
 def _eavesdropper_allowance_af(params: SystemParams) -> float:
     # Rate ceded to the eavesdropper at outage level epsilon.  With
     # 0 < epsilon <= 1 both numerator and denominator of the ratio are
-    # non-positive, so the log argument is >= 1; anything else means the
-    # inputs are corrupt.
+    # non-positive, so the log argument is >= 1; anything else (including
+    # NaN from overflowing power products) means the inputs are unusable.
     k = composite_coefficients(params)
     n = params.n_r
     ln_eps = math.log(params.epsilon)
     arg = 1.0 + k.d * n * ln_eps / (k.e_coef * ln_eps - k.c * n - 1.0)
-    assert arg >= 1.0, f"eavesdropper log argument {arg} < 1: corrupt parameters"
+    if not arg >= 1.0:
+        raise ArithmeticError(f"AF eavesdropper log argument {arg} is not >= 1")
     return params.w_hz * math.log2(arg)
 
 
@@ -166,18 +167,19 @@ def asymptotic_limit(params: SystemParams, regime, scheme) -> AsymptoticLimit:
 
 
 def scheme_report(scheme, params: SystemParams) -> SchemeReport:
-    """Evaluate all three closed-form figures of merit for one scheme."""
+    """Evaluate all three closed-form figures of merit for one scheme.
+
+    Raises:
+        ArithmeticError: a figure is not finite (the power products overflow).
+    """
     scheme = Scheme(scheme)
     if scheme is Scheme.AF:
-        return SchemeReport(
-            scheme=scheme,
-            c_d=legit_capacity_af(params),
-            c_soc=secrecy_outage_capacity_af(params),
-            p0=interception_probability_af(params),
-        )
-    return SchemeReport(
-        scheme=scheme,
-        c_d=legit_capacity_df(params),
-        c_soc=secrecy_outage_capacity_df(params),
-        p0=interception_probability_df(params),
-    )
+        figures = (legit_capacity_af, secrecy_outage_capacity_af, interception_probability_af)
+    else:
+        figures = (legit_capacity_df, secrecy_outage_capacity_df, interception_probability_df)
+    values = {}
+    for name, figure in zip(("c_d", "c_soc", "p0"), figures):
+        values[name] = figure(params)
+        if not math.isfinite(values[name]):
+            raise ArithmeticError(f"{scheme.value} {name} is not finite ({values[name]})")
+    return SchemeReport(scheme=scheme, **values)

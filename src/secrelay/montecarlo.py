@@ -3,24 +3,18 @@ probability from the exact per-realization SNRs.
 
 Per-draw SNRs are computed in closed form from the link statistics, so no
 additive noise is ever sampled; that removes estimator variance without bias.
-Trials are derived counter-based from (seed, trial index), which makes every
-estimate reproducible for any worker count.
+Trials are derived counter-based from (seed, trial index), so every estimate
+is a pure function of (params, trials, seed).
 """
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import binom
 
 from .analytic import Scheme, composite_coefficients
 from .channel import LinkStatistics, draw_channels, link_statistics, trial_rng
 from .params import SystemParams
-
-WORKERS_ENV = "SECRELAY_THREADS"
-_CHUNK = 512  # trials per work unit; chunking never affects per-trial values
 
 
 class InsufficientSampleError(ValueError):
@@ -84,46 +78,43 @@ def empirical_quantile(samples, epsilon: float) -> float:
     return float(np.partition(x, k - 1)[k - 1])
 
 
+def _binom_ppf(q: float, n: int, p: float) -> int:
+    """Smallest k with P(X <= k) >= q for X ~ Binomial(n, p), 0 < q < 1.
+
+    Sums the exact pmf upward from 40 standard deviations below the mean,
+    where the mass left out is far below double precision.
+    """
+    if p >= 1.0:
+        return n
+    mean = n * p
+    k = max(0, math.floor(mean - 40.0 * math.sqrt(mean * (1.0 - p))))
+    log_p, log_1mp, lg_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    cdf = 0.0
+    while k < n:
+        cdf += math.exp(lg_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                        + k * log_p + (n - k) * log_1mp)
+        if cdf >= q:
+            return k
+        k += 1
+    return n
+
+
 def _quantile_std_error(sorted_samples: np.ndarray, epsilon: float) -> float:
     # Order-statistic method: half-width of the 68% binomial band around k.
     n = sorted_samples.size
-    j_lo = min(max(int(binom.ppf(0.16, n, epsilon)), 1), n)
-    j_hi = min(max(int(binom.ppf(0.84, n, epsilon)), 1), n)
+    j_lo = min(max(_binom_ppf(0.16, n, epsilon), 1), n)
+    j_hi = min(max(_binom_ppf(0.84, n, epsilon), 1), n)
     return float(sorted_samples[j_hi - 1] - sorted_samples[j_lo - 1]) / 2.0
-
-
-def worker_count() -> int:
-    """Worker cap taken from SECRELAY_THREADS; defaults to 1."""
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, value)
 
 
 def _collect_statistics(params: SystemParams, trials: int, seed: int):
     """Gather (g_sr, g_d, g_e) for all trials, in trial-index order."""
     out = np.empty((trials, 3))
-
-    def fill(span):
-        lo, hi = span
-        for i in range(lo, hi):
-            stats = link_statistics(draw_channels(params, trial_rng(seed, i)))
-            out[i, 0] = stats.g_sr
-            out[i, 1] = stats.g_d
-            out[i, 2] = stats.g_e
-
-    spans = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
-    workers = min(worker_count(), len(spans))
-    if workers <= 1:
-        for span in spans:
-            fill(span)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, spans))
+    for i in range(trials):
+        stats = link_statistics(draw_channels(params, trial_rng(seed, i)))
+        out[i, 0] = stats.g_sr
+        out[i, 1] = stats.g_d
+        out[i, 2] = stats.g_e
     return out[:, 0], out[:, 1], out[:, 2]
 
 

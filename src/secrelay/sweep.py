@@ -17,6 +17,7 @@ from .params import ParameterError, SystemParams, from_decibel, validate
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 10_000
+MAX_GRID_POINTS = 1_000_000  # cap on a {lo, hi, step} range, checked before expansion
 
 _PARAM_KEYS = ("alpha_sr", "alpha_rd", "alpha_re", "rho", "n_r", "w_hz", "epsilon")
 _POWER_KEYS = ("p_s", "p_r")
@@ -105,11 +106,14 @@ def _parse_grid(raw, variable: str):
             raise ConfigError("grid", f"step must be > 0, got {step}")
         if hi < lo:
             raise ConfigError("grid", f"grid range is empty: hi={hi} < lo={lo}")
+        limit = hi + 1e-9 * max(1.0, abs(hi))
+        if (limit - lo) / step >= MAX_GRID_POINTS:
+            raise ConfigError("grid", f"grid range has more than {MAX_GRID_POINTS} points")
         values = []
         i = 0
         while True:
             x = lo + i * step
-            if x > hi + 1e-9 * max(1.0, abs(hi)):
+            if x > limit:
                 break
             values.append(int(round(x)) if integer else x)
             i += 1
@@ -312,61 +316,37 @@ def emit_report(rows, format: str, destination) -> int:
     return len(data)
 
 
-def _alpha_re_grid():
-    return {"lo": 0.1, "hi": 3.0, "step": 0.1}
+_PRESET_BASE = {
+    "p_s_db": 20.0, "p_r_db": 20.0, "rho": 0.9, "n_r": 100, "w_hz": 10_000.0,
+    "epsilon": 0.01, "variable": "alpha-re", "grid": {"lo": 0.1, "hi": 3.0, "step": 0.1},
+    "schemes": ["AF", "DF"], "mode": "both",
+    "trials": DEFAULT_TRIALS, "seed": DEFAULT_SEED,
+}
+_POWER_SWEEP = {"p_s_db": 10.0, "p_r_db": 10.0, "epsilon": 0.05, "trials": 5000}
+_FIG4 = [("", dict(_POWER_SWEEP, variable="source-power-db",
+                   grid={"lo": -10.0, "hi": 40.0, "step": 1.0}))]
+_FIG5 = [("", dict(_POWER_SWEEP, variable="relay-power-db",
+                   grid={"lo": -10.0, "hi": 50.0, "step": 2.0}))]
 
-
-def _preset_doc(**overrides):
-    doc = {
-        "p_s_db": 20.0, "p_r_db": 20.0, "rho": 0.9, "n_r": 100, "w_hz": 10_000.0,
-        "epsilon": 0.01, "variable": "alpha-re", "grid": _alpha_re_grid(),
-        "schemes": ["AF", "DF"], "mode": "both",
-        "trials": DEFAULT_TRIALS, "seed": DEFAULT_SEED,
-    }
-    doc.update(overrides)
-    return json.dumps(doc)
-
-
-# Reproduction presets for the reference figures.  Each entry expands to one
-# or more labeled runs; one output table per run.
-PRESETS = ("fig2", "fig3", "fig3b", "fig4", "fig5", "fig6", "fig7")
+# Reproduction presets for the reference figures: name -> labeled runs, each
+# given as overrides of _PRESET_BASE; one output table per run.  fig6 and
+# fig7 are the same runs as fig4 and fig5.
+_PRESET_RUNS = {
+    "fig2": [(f"eps{eps}", {"schemes": ["AF"], "epsilon": eps}) for eps in (0.001, 0.01, 0.1)],
+    "fig3": [(f"eps{eps}", {"schemes": ["DF"], "epsilon": eps}) for eps in (0.001, 0.01, 0.1)],
+    "fig3b": [(f"nr{n}", {"p_s_db": 10.0, "p_r_db": 10.0, "n_r": n, "trials": 5000})
+              for n in (100, 200)],
+    "fig4": _FIG4,
+    "fig5": _FIG5,
+    "fig6": _FIG4,
+    "fig7": _FIG5,
+}
+PRESETS = tuple(_PRESET_RUNS)
 
 
 def preset_specs(name: str):
     """Labeled SweepSpec list for a named preset."""
-    if name == "fig2":
-        return [
-            (f"eps{eps}", parse_config(_preset_doc(schemes=["AF"], epsilon=eps)))
-            for eps in (0.001, 0.01, 0.1)
-        ]
-    if name == "fig3":
-        return [
-            (f"eps{eps}", parse_config(_preset_doc(schemes=["DF"], epsilon=eps)))
-            for eps in (0.001, 0.01, 0.1)
-        ]
-    if name == "fig3b":
-        return [
-            (f"nr{n}", parse_config(_preset_doc(p_s_db=10.0, p_r_db=10.0, n_r=n, trials=5000)))
-            for n in (100, 200)
-        ]
-    if name == "fig4":
-        return [("", parse_config(_preset_doc(
-            p_s_db=10.0, p_r_db=10.0, epsilon=0.05, trials=5000,
-            variable="source-power-db", grid={"lo": -10.0, "hi": 40.0, "step": 1.0},
-        )))]
-    if name == "fig5":
-        return [("", parse_config(_preset_doc(
-            p_s_db=10.0, p_r_db=10.0, epsilon=0.05, trials=5000,
-            variable="relay-power-db", grid={"lo": -10.0, "hi": 50.0, "step": 2.0},
-        )))]
-    if name == "fig6":
-        return [("", parse_config(_preset_doc(
-            p_s_db=10.0, p_r_db=10.0, epsilon=0.05, trials=5000,
-            variable="source-power-db", grid={"lo": -10.0, "hi": 40.0, "step": 1.0},
-        )))]
-    if name == "fig7":
-        return [("", parse_config(_preset_doc(
-            p_s_db=10.0, p_r_db=10.0, epsilon=0.05, trials=5000,
-            variable="relay-power-db", grid={"lo": -10.0, "hi": 50.0, "step": 2.0},
-        )))]
-    raise ConfigError("preset", f"unknown preset {name!r}; choose from {PRESETS}")
+    if name not in _PRESET_RUNS:
+        raise ConfigError("preset", f"unknown preset {name!r}; choose from {PRESETS}")
+    return [(label, parse_config(json.dumps({**_PRESET_BASE, **overrides})))
+            for label, overrides in _PRESET_RUNS[name]]

@@ -192,8 +192,14 @@ def test_eavesdropper_cdf_is_nondecreasing_with_probability_range():
 
 
 def test_eavesdropper_allowance_guard_catches_corrupt_epsilon():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ArithmeticError):
         secrecy_outage_capacity_af(replace(REFERENCE, epsilon=1.5))
+
+
+def test_eavesdropper_allowance_guard_catches_overflowing_powers():
+    # d * n_r overflows to inf and the log argument becomes NaN.
+    with pytest.raises(ArithmeticError, match="log argument nan"):
+        secrecy_outage_capacity_af(replace(REFERENCE, p_s=1e307, p_r=10.0))
 
 
 def test_asymptotic_limits_match_the_high_power_table():

@@ -10,6 +10,7 @@ from secrelay.analytic import Scheme, scheme_report
 from secrelay.montecarlo import estimate
 from secrelay.params import SystemParams
 from secrelay.sweep import (
+    MAX_GRID_POINTS,
     PRESETS,
     ConfigError,
     RowError,
@@ -95,6 +96,14 @@ def test_malformed_json_is_a_config_error():
 def test_range_grid_expansion_is_inclusive():
     spec = parse_config(config(grid={"lo": 0.5, "hi": 1.0, "step": 0.25}))
     assert spec.grid == pytest.approx((0.5, 0.75, 1.0))
+
+
+def test_range_grid_over_the_point_cap_is_rejected_before_expansion():
+    # lo..hi at step 1 holds MAX_GRID_POINTS + 1 points
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(config(grid={"lo": 0.0, "hi": float(MAX_GRID_POINTS), "step": 1.0}))
+    assert excinfo.value.field == "grid"
+    assert str(MAX_GRID_POINTS) in str(excinfo.value)
 
 
 def test_montecarlo_mode_requires_and_accepts_trials_and_seed():
@@ -326,6 +335,30 @@ def test_cli_exit_codes(tmp_path):
                    "--out", str(missing_dir)).returncode == 4
     assert run_cli("sweep", "--config", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "x.csv")).returncode == 4
+
+
+@pytest.mark.parametrize(
+    "p_s_db,p_r_db,message",
+    [("3070", "10", "AF c_d is not finite (nan)"), ("2000", "2000", "AF c_d is not finite (inf)")],
+)
+def test_cli_point_with_overflowing_powers_is_a_numeric_error(p_s_db, p_r_db, message):
+    result = run_cli("point", "--p-s-db", p_s_db, "--p-r-db", p_r_db)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and message in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_cli_sweep_with_overflowing_powers_fails_the_row(tmp_path):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(config(p_r_db=2000, variable="source-power-db", grid=[10.0, 2000.0]))
+    out = tmp_path / "huge.csv"
+    result = run_cli("sweep", "--config", str(cfg), "--out", str(out))
+    assert result.returncode == 3
+    assert "row 1 (source-power-db=2000.0)" in result.stderr
+    assert "AF c_d is not finite" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
 
 
 def test_cli_preset_expands_to_labeled_files(tmp_path):

@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +16,11 @@ from secrelay.analytic import (
 from secrelay.channel import LinkStatistics
 from secrelay.montecarlo import (
     InsufficientSampleError,
+    _binom_ppf,
     af_realization_rates,
     df_realization_rates,
     empirical_quantile,
     estimate,
-    worker_count,
 )
 from secrelay.params import SystemParams
 
@@ -170,24 +173,30 @@ def test_estimate_scales_linearly_with_bandwidth():
     assert wide.p0.value == narrow.p0.value
 
 
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("SECRELAY_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("SECRELAY_THREADS", "6")
-    assert worker_count() == 6
-    monkeypatch.setenv("SECRELAY_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("SECRELAY_THREADS", "two")
-    with pytest.raises(ValueError):
-        worker_count()
+def _scipy_quantiles():
+    # (n, eps, q, k) rows pinned once from scipy.stats.binom.ppf
+    path = Path(__file__).with_name("binom_ppf_table.csv")
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    assert lines[0] == "n,eps,q,k"
+    return [(int(n), float(e), float(q), int(k)) for n, e, q, k in (ln.split(",") for ln in lines[1:])]
 
 
-def test_worker_count_does_not_change_values(monkeypatch):
-    monkeypatch.setenv("SECRELAY_THREADS", "1")
-    serial = estimate("DF", REFERENCE, 2_000, SEED)
-    monkeypatch.setenv("SECRELAY_THREADS", "3")
-    threaded = estimate("DF", REFERENCE, 2_000, SEED)
-    assert serial == threaded
+def test_binomial_quantile_matches_the_pinned_scipy_table():
+    rows = _scipy_quantiles()
+    assert len(rows) == 100
+    assert any(eps == 1.0 for _, eps, _, _ in rows)
+    assert any(eps * n == 1.0 for n, eps, _, _ in rows)
+    mismatches = [(n, eps, q, k, _binom_ppf(q, n, eps)) for n, eps, q, k in rows
+                  if _binom_ppf(q, n, eps) != k]
+    assert mismatches == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = ("import sys, secrelay.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_mean_per_draw_capacity_hardens_to_the_closed_form():
