@@ -47,6 +47,7 @@ from .montecarlo import (
     df_realization_rates,
     empirical_quantile,
     estimate,
+    estimate_schemes,
 )
 from .params import ParameterError, SystemParams, from_decibel, validate
 from .sweep import (

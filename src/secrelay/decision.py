@@ -76,6 +76,12 @@ def _db_grid(lo_db: float, hi_db: float, step_db: float):
     return grid
 
 
+def _finite(value: float, name: str, db: float) -> float:
+    if not math.isfinite(value):
+        raise ArithmeticError(f"{name} is not finite ({value}) at {db:g} dB")
+    return value
+
+
 def compare_schemes(params: SystemParams, criterion=Criterion.CAPACITY) -> ComparisonVerdict:
     """Compare AF and DF under the chosen criterion; near-ties go to AF."""
     criterion = Criterion(criterion)
@@ -109,16 +115,20 @@ def find_switching_point(
     by bisection to DB_TOL.  ``delta`` may replace the default AF-DF gap with
     another function of SystemParams (diagnostics); an identically-zero gap
     yields no crossings.
+
+    Raises:
+        ArithmeticError: a capacity or the gap is not finite at a scanned point.
     """
     axis = PowerAxis(sweep_var)
     if not lo_db < hi_db:
         raise ValueError(f"invalid bracket: need lo_db < hi_db, got [{lo_db}, {hi_db}]")
-    if delta is None:
-        def delta(p):
-            return secrecy_outage_capacity_af(p) - secrecy_outage_capacity_df(p)
 
     def f(db):
-        return delta(_with_power_db(params_template, axis, db))
+        p = _with_power_db(params_template, axis, db)
+        if delta is not None:
+            return _finite(delta(p), "capacity gap", db)
+        return (_finite(secrecy_outage_capacity_af(p), "AF c_soc", db)
+                - _finite(secrecy_outage_capacity_df(p), "DF c_soc", db))
 
     grid = _db_grid(lo_db, hi_db, grid_step_db)
     values = [f(x) for x in grid]
@@ -158,14 +168,16 @@ def optimal_relay_power(
 
     Raises:
         NoOptimumError: the capacity is zero across the scan grid.
+        ArithmeticError: the capacity is not finite at an evaluated point.
     """
     scheme = Scheme(scheme)
     if not lo_db < hi_db:
         raise ValueError(f"invalid bracket: need lo_db < hi_db, got [{lo_db}, {hi_db}]")
     soc = secrecy_outage_capacity_af if scheme is Scheme.AF else secrecy_outage_capacity_df
+    name = f"{scheme.value} c_soc"
 
     def f(db):
-        return soc(_with_power_db(params_template, PowerAxis.RELAY, db))
+        return _finite(soc(_with_power_db(params_template, PowerAxis.RELAY, db)), name, db)
 
     grid = _db_grid(lo_db, hi_db, GRID_STEP_DB)
     grid_values = [f(x) for x in grid]

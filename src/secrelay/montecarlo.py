@@ -4,7 +4,9 @@ probability from the exact per-realization SNRs.
 Per-draw SNRs are computed in closed form from the link statistics, so no
 additive noise is ever sampled; that removes estimator variance without bias.
 Trials are derived counter-based from (seed, trial index), so every estimate
-is a pure function of (params, trials, seed).
+is a pure function of (params, trials, seed).  AF and DF read the same three
+link statistics per draw, so ``estimate_schemes`` draws each trial once for
+both; a sweep row's schemes share that row's draws.
 """
 import math
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import Scheme, composite_coefficients
-from .channel import LinkStatistics, draw_channels, link_statistics, trial_rng
+from .channel import LinkStatistics, draw_channels, link_statistics, trial_rng, trial_streams
 from .params import SystemParams
 
 
@@ -110,37 +112,16 @@ def _quantile_std_error(sorted_samples: np.ndarray, epsilon: float) -> float:
 def _collect_statistics(params: SystemParams, trials: int, seed: int):
     """Gather (g_sr, g_d, g_e) for all trials, in trial-index order."""
     out = np.empty((trials, 3))
-    for i in range(trials):
-        stats = link_statistics(draw_channels(params, trial_rng(seed, i)))
+    for i, rng in enumerate(trial_streams(trial_rng(seed, 0), range(trials))):
+        stats = link_statistics(draw_channels(params, rng))
         out[i, 0] = stats.g_sr
         out[i, 1] = stats.g_d
         out[i, 2] = stats.g_e
     return out[:, 0], out[:, 1], out[:, 2]
 
 
-def estimate(scheme, params: SystemParams, trials: int, seed: int) -> SecrecyEstimates:
-    """Estimate secrecy outage capacity and interception probability.
-
-    The secrecy outage capacity estimate is the clamped epsilon-quantile of
-    the per-draw rate difference; the interception probability is the
-    fraction of draws whose eavesdropper rate reaches the legitimate rate
-    (ties count as interception).
-
-    Raises:
-        ValueError: non-positive trial count or out-of-range seed.
-        InsufficientSampleError: trials < 100 or epsilon*trials < 1.
-    """
-    if trials <= 0:
-        raise ValueError(f"trials must be a positive integer, got {trials}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if trials < 100 or params.epsilon * trials < 1.0:
-        raise InsufficientSampleError(
-            f"{trials} trials cannot resolve the epsilon={params.epsilon} quantile; "
-            "need trials >= 100 and epsilon*trials >= 1"
-        )
-    scheme = Scheme(scheme)
-    g_sr, g_d, g_e = _collect_statistics(params, trials, seed)
+def _reduce(scheme: Scheme, g_sr, g_d, g_e, params: SystemParams, trials: int,
+            seed: int) -> SecrecyEstimates:
     rates = _af_rates if scheme is Scheme.AF else _df_rates
     c_d, c_e = rates(g_sr, g_d, g_e, params)
     diff = np.sort(c_d - c_e)
@@ -158,3 +139,47 @@ def estimate(scheme, params: SystemParams, trials: int, seed: int) -> SecrecyEst
         seed=seed,
     )
     return SecrecyEstimates(c_soc=c_soc, p0=p0)
+
+
+def estimate_schemes(schemes, params: SystemParams, trials: int, seed: int) -> dict:
+    """``estimate`` for several schemes from one set of channel draws.
+
+    Every trial is drawn once and its link statistics feed each scheme, so
+    the result for a scheme equals ``estimate(scheme, params, trials, seed)``.
+    Returns a dict from Scheme to SecrecyEstimates, in the order given.
+
+    Raises:
+        ValueError: no schemes, an unknown scheme, a non-positive trial
+            count or an out-of-range seed.
+        InsufficientSampleError: trials < 100 or epsilon*trials < 1.
+    """
+    if trials <= 0:
+        raise ValueError(f"trials must be a positive integer, got {trials}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    if trials < 100 or params.epsilon * trials < 1.0:
+        raise InsufficientSampleError(
+            f"{trials} trials cannot resolve the epsilon={params.epsilon} quantile; "
+            "need trials >= 100 and epsilon*trials >= 1"
+        )
+    schemes = [Scheme(s) for s in schemes]
+    if not schemes:
+        raise ValueError("no schemes to estimate")
+    stats = _collect_statistics(params, trials, seed)
+    return {s: _reduce(s, *stats, params, trials, seed) for s in schemes}
+
+
+def estimate(scheme, params: SystemParams, trials: int, seed: int) -> SecrecyEstimates:
+    """Estimate secrecy outage capacity and interception probability.
+
+    The secrecy outage capacity estimate is the clamped epsilon-quantile of
+    the per-draw rate difference; the interception probability is the
+    fraction of draws whose eavesdropper rate reaches the legitimate rate
+    (ties count as interception).
+
+    Raises:
+        ValueError: non-positive trial count or out-of-range seed.
+        InsufficientSampleError: trials < 100 or epsilon*trials < 1.
+    """
+    (result,) = estimate_schemes((scheme,), params, trials, seed).values()
+    return result

@@ -220,7 +220,9 @@ def run_sweep(spec: SweepSpec):
     """Evaluate every grid point, one SweepRow per point, in grid order.
 
     Monte Carlo rows reseed with seed XOR row-index so rows are independent
-    while the whole sweep stays a pure function of (config, seed).
+    while the whole sweep stays a pure function of (config, seed).  The
+    schemes of a row share its channel draws.  Closed forms run before
+    Monte Carlo, so a row whose closed form fails reports that error.
     """
     rows = []
     for index, value in enumerate(spec.grid):
@@ -229,19 +231,21 @@ def run_sweep(spec: SweepSpec):
             columns = {}
             for scheme in spec.schemes:
                 report = scheme_report(scheme, p)
-                cols = SchemeColumns(
+                columns[scheme] = SchemeColumns(
                     c_d=report.c_d, c_soc_analytic=report.c_soc, p0_analytic=report.p0
                 )
-                if spec.montecarlo_active:
-                    est = montecarlo.estimate(scheme, p, spec.trials, spec.seed ^ index)
-                    cols = replace(
-                        cols,
+            if spec.montecarlo_active:
+                estimates = montecarlo.estimate_schemes(
+                    spec.schemes, p, spec.trials, spec.seed ^ index
+                )
+                for scheme, est in estimates.items():
+                    columns[scheme] = replace(
+                        columns[scheme],
                         c_soc_mc=est.c_soc.value,
                         c_soc_mc_stderr=est.c_soc.std_error,
                         p0_mc=est.p0.value,
                         p0_mc_stderr=est.p0.std_error,
                     )
-                columns[scheme] = cols
         except (ParameterError, ValueError, ArithmeticError) as exc:
             raise RowError(index, spec.variable, value, exc) from exc
         rows.append(SweepRow(value=float(value), schemes=columns))

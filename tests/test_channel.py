@@ -9,10 +9,12 @@ from secrelay.channel import (
     draw_channels,
     link_statistics,
     trial_rng,
+    trial_streams,
 )
 from secrelay.params import SystemParams
 
 REFERENCE = SystemParams()  # n_r=100, rho=0.9
+_FIELDS = ("h_sr", "h_rd_hat", "err", "h_rd", "h_re")
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +51,7 @@ def test_mixture_identity_holds_for_intermediate_rho():
 def test_same_seed_and_trial_is_bit_identical():
     a = draw_channels(REFERENCE, trial_rng(123, 7))
     b = draw_channels(REFERENCE, trial_rng(123, 7))
-    for field in ("h_sr", "h_rd_hat", "err", "h_rd", "h_re"):
+    for field in _FIELDS:
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
@@ -68,6 +70,36 @@ def test_trial_rng_rejects_bad_inputs():
         trial_rng(2**64, 0)
     with pytest.raises(ValueError):
         trial_rng(0, -1)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_trial_streams_reposition_onto_each_trial_rng_substream(seed):
+    trials = [0, 1, 2**40, 0]  # includes a jump back to an earlier trial
+    for trial, rng in zip(trials, trial_streams(trial_rng(seed, 7), trials), strict=True):
+        a = draw_channels(REFERENCE, rng)
+        b = draw_channels(REFERENCE, trial_rng(seed, trial))
+        for field in _FIELDS:
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def test_trial_streams_drop_what_the_previous_trial_left_buffered():
+    streams = trial_streams(trial_rng(5, 0), [3, 3])
+    rng = next(streams)
+    rng.integers(2**32, dtype=np.uint32)  # half of a 64-bit word left pending
+    rng.random(1)  # two of the four words of a Philox block left unread
+    a = draw_channels(REFERENCE, next(streams))
+    b = draw_channels(REFERENCE, trial_rng(5, 3))
+    for field in _FIELDS:
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def test_trial_streams_reject_bad_inputs():
+    with pytest.raises(ValueError):
+        list(trial_streams(trial_rng(0, 0), [-1]))
+    used = trial_rng(0, 0)
+    used.standard_normal()
+    with pytest.raises(ValueError):
+        next(trial_streams(used, [0]))
 
 
 def test_unit_scalar_statistics():

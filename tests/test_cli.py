@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -152,6 +153,17 @@ def test_row_errors_carry_row_context():
         run_sweep(spec)
     assert "row 1" in str(excinfo.value)
     assert "rho=1.5" in str(excinfo.value)
+
+
+def test_both_mode_sweep_csv_is_byte_identical_to_the_pinned_output(tmp_path):
+    # Pins every Monte Carlo byte of a small AF+DF sweep (3 rows, 1000
+    # trials, n_r = 100): any change to the draw path that moves a number
+    # changes this hash.
+    rows = run_sweep(parse_config(config(mode="both", trials=1000, seed=42)))
+    out = tmp_path / "pinned.csv"
+    emit_report(rows, "csv", out)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "09af15fca36cd078f228d727f0c44983036de269b44ef4bdc136ce7cf961a5de"
 
 
 # ----------------------------------------------------------------- emit_report
@@ -350,15 +362,38 @@ def test_cli_point_with_overflowing_powers_is_a_numeric_error(p_s_db, p_r_db, me
 
 
 def test_cli_sweep_with_overflowing_powers_fails_the_row(tmp_path):
+    # With Monte Carlo on, the row still reports the closed-form error.
+    for mode in ({"mode": "analytic"}, {"mode": "both", "trials": 200, "seed": 42}):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(config(p_r_db=2000, variable="source-power-db", grid=[10.0, 2000.0],
+                              **mode))
+        out = tmp_path / "huge.csv"
+        result = run_cli("sweep", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 3
+        assert "row 1 (source-power-db=2000.0)" in result.stderr
+        assert "AF c_d is not finite" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command,power_key,variable", [
+    ("switch", "p_r_db", "source-power-db"),
+    ("optimize", "p_s_db", "relay-power-db"),
+])
+def test_cli_decision_with_overflowing_powers_is_a_numeric_error(
+    tmp_path, command, power_key, variable
+):
     cfg = tmp_path / "huge.json"
-    cfg.write_text(config(p_r_db=2000, variable="source-power-db", grid=[10.0, 2000.0]))
-    out = tmp_path / "huge.csv"
-    result = run_cli("sweep", "--config", str(cfg), "--out", str(out))
+    cfg.write_text(json.dumps({
+        power_key: 2000, "epsilon": 0.05, "variable": variable,
+        "grid": {"lo": 1990, "hi": 2010, "step": 1}, "schemes": ["AF", "DF"],
+        "mode": "analytic",
+    }))
+    result = run_cli(command, "--config", str(cfg))
     assert result.returncode == 3
-    assert "row 1 (source-power-db=2000.0)" in result.stderr
-    assert "AF c_d is not finite" in result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: AF c_soc is not finite (nan) at 1990 dB")
     assert "Traceback" not in result.stderr
-    assert not out.exists()
 
 
 def test_cli_preset_expands_to_labeled_files(tmp_path):

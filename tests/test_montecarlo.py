@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from secrelay.analytic import (
+    Scheme,
     legit_capacity_af,
     legit_capacity_df,
     secrecy_outage_capacity_af,
@@ -21,8 +23,10 @@ from secrelay.montecarlo import (
     df_realization_rates,
     empirical_quantile,
     estimate,
+    estimate_schemes,
 )
 from secrelay.params import SystemParams
+from secrelay.sweep import parse_config, run_sweep
 
 REFERENCE = SystemParams()
 SEED = 42
@@ -133,6 +137,50 @@ def test_estimate_rejects_bad_arguments():
         estimate("AF", REFERENCE, 1000, 2**64)
     with pytest.raises(ValueError):
         estimate("XX", REFERENCE, 1000, SEED)
+
+
+@pytest.mark.parametrize("order", [("AF", "DF"), ("DF", "AF")])
+def test_estimate_schemes_equals_separate_estimates(order):
+    p = replace(REFERENCE, n_r=8, alpha_re=3.0, epsilon=0.2)  # c_soc, p0 > 0 in both
+    joint = estimate_schemes(order, p, 1000, 2**64 - 1)
+    assert list(joint) == [Scheme(s) for s in order]
+    for scheme, est in joint.items():
+        alone = estimate(scheme, p, 1000, 2**64 - 1)
+        assert est.c_soc == alone.c_soc
+        assert est.p0 == alone.p0
+        assert est.c_soc.value > 0.0 and est.p0.value > 0.0
+
+
+def test_estimate_schemes_rejects_what_estimate_rejects():
+    both = ("AF", "DF")
+    with pytest.raises(ValueError):
+        estimate_schemes(both, REFERENCE, 0, SEED)
+    with pytest.raises(InsufficientSampleError):
+        estimate_schemes(both, REFERENCE, 50, SEED)
+    with pytest.raises(InsufficientSampleError):
+        estimate_schemes(both, replace(REFERENCE, epsilon=0.001), 500, SEED)
+    with pytest.raises(ValueError):
+        estimate_schemes(both, REFERENCE, 1000, 2**64)
+    with pytest.raises(ValueError):
+        estimate_schemes(("AF", "XX"), REFERENCE, 1000, SEED)
+    with pytest.raises(ValueError):
+        estimate_schemes((), REFERENCE, 1000, SEED)
+
+
+def test_sweep_draws_each_row_and_trial_once(monkeypatch):
+    import secrelay.montecarlo as montecarlo
+
+    real_draw, calls = montecarlo.draw_channels, []
+
+    def counting_draw(params, rng):
+        calls.append(None)
+        return real_draw(params, rng)
+
+    monkeypatch.setattr(montecarlo, "draw_channels", counting_draw)
+    doc = {"variable": "alpha-re", "grid": [0.5, 1.0, 2.0], "schemes": ["AF", "DF"],
+           "mode": "both", "trials": 200, "seed": 3}
+    rows = run_sweep(parse_config(json.dumps(doc)))
+    assert len(calls) == len(rows) * 200  # not once per scheme
 
 
 def test_estimates_track_the_closed_forms(paper_estimates):
