@@ -1,20 +1,21 @@
-"""Rayleigh channel sampling and the scalar statistics that drive every SNR.
+"""Per-trial reference sampler of the channel vectors and their statistics.
 
 Each small-scale vector entry is CN(0, 1): real and imaginary parts are
 N(0, 1/2), so the per-entry power has unit mean.  The true relay->destination
 channel is never sampled on its own; it is assembled from the estimate and
-the error vector through the correlation coefficient.
+the error vector through the correlation coefficient.  Monte Carlo estimation
+draws the three statistics from their exact law instead (``montecarlo``) and
+is tested against this sampler.
 """
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import SystemParams
 
-# Each trial starts 2**128 Philox blocks apart: far more head-room than any
-# draw can consume, so per-trial substreams cannot overlap.
+# Substreams start 2**128 Philox blocks apart: far more head-room than any
+# draw can consume, so they cannot overlap.
 _TRIAL_STRIDE_BITS = 128
 
 
@@ -41,10 +42,10 @@ class LinkStatistics:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Deterministic substream for one trial.
+    """Deterministic substream ``trial`` of ``seed``.
 
-    Derived counter-based from (seed, trial), so the draw for a given trial
-    index is identical no matter how many trials run, or on which worker.
+    Derived counter-based from (seed, trial), so the draw for a given index
+    is identical no matter how many other substreams are used.
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
@@ -53,32 +54,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(key=seed, counter=trial << _TRIAL_STRIDE_BITS)
     )
-
-
-def trial_streams(
-    rng: np.random.Generator, trials: Iterable[int]
-) -> Iterator[np.random.Generator]:
-    """``rng`` moved onto the substream of each trial index in ``trials``, in order.
-
-    ``rng`` comes from ``trial_rng(seed, k)`` with nothing drawn yet.  Before
-    each trial its Philox is set to the state that ``trial_rng(seed, trial)``
-    starts in, which costs far less than building a new Philox.  Every item
-    is ``rng`` itself: use up one trial's draws before advancing to the next.
-
-    Raises:
-        ValueError: ``rng`` has been drawn from, or a trial index is negative.
-    """
-    bit_generator = rng.bit_generator
-    state = bit_generator.state  # the seed's key and an empty output buffer
-    if state["state"]["counter"][:2].any():  # a draw counts these words up
-        raise ValueError("rng must come from trial_rng with nothing drawn yet")
-    for trial in trials:
-        if trial < 0:
-            raise ValueError(f"trial index must be >= 0, got {trial}")
-        counter = (trial << _TRIAL_STRIDE_BITS).to_bytes(32, "little")
-        state["state"]["counter"] = np.frombuffer(counter, dtype="<u8")
-        bit_generator.state = state
-        yield rng
 
 
 def draw_channels(params: SystemParams, rng: np.random.Generator) -> ChannelDraw:

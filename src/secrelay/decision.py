@@ -76,19 +76,25 @@ def _db_grid(lo_db: float, hi_db: float, step_db: float):
     return grid
 
 
-def _finite(value: float, name: str, db: float) -> float:
+def _finite(value: float, name: str, db: float | None = None) -> float:
     if not math.isfinite(value):
-        raise ArithmeticError(f"{name} is not finite ({value}) at {db:g} dB")
+        where = "" if db is None else f" at {db:g} dB"
+        raise ArithmeticError(f"{name} is not finite ({value}){where}")
     return value
 
 
 def compare_schemes(params: SystemParams, criterion=Criterion.CAPACITY) -> ComparisonVerdict:
-    """Compare AF and DF under the chosen criterion; near-ties go to AF."""
+    """Compare AF and DF under the chosen criterion; near-ties go to AF.
+
+    Raises:
+        ArithmeticError: a closed-form capacity or probability is not finite.
+    """
     criterion = Criterion(criterion)
-    soc_af = secrecy_outage_capacity_af(params)
-    soc_df = secrecy_outage_capacity_df(params)
+    soc_af = _finite(secrecy_outage_capacity_af(params), "AF c_soc")
+    soc_df = _finite(secrecy_outage_capacity_df(params), "DF c_soc")
     delta_c = soc_af - soc_df
-    delta_p = interception_probability_af(params) - interception_probability_df(params)
+    delta_p = (_finite(interception_probability_af(params), "AF p0")
+               - _finite(interception_probability_df(params), "DF p0"))
     if criterion is Criterion.CAPACITY:
         tie = abs(delta_c) <= CAPACITY_TIE_REL * max(soc_af, soc_df)
         recommended = Scheme.AF if tie or delta_c > 0.0 else Scheme.DF

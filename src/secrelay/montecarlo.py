@@ -3,9 +3,10 @@ probability from the exact per-realization SNRs.
 
 Per-draw SNRs are computed in closed form from the link statistics, so no
 additive noise is ever sampled; that removes estimator variance without bias.
-Trials are derived counter-based from (seed, trial index), so every estimate
-is a pure function of (params, trials, seed).  AF and DF read the same three
-link statistics per draw, so ``estimate_schemes`` draws each trial once for
+The statistics themselves are drawn from their exact law, not from channel
+vectors, one counter-based substream of the seed per variate, so every
+estimate is a pure function of (params, trials, seed).  AF and DF read the
+same three link statistics per draw, so ``estimate_schemes`` draws once for
 both; a sweep row's schemes share that row's draws.
 """
 import math
@@ -15,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import Scheme, composite_coefficients
-from .channel import LinkStatistics, draw_channels, link_statistics, trial_rng, trial_streams
+# draw_channels and link_statistics stay importable: perfbench's tracer looks them up here.
+from .channel import LinkStatistics, draw_channels, link_statistics, trial_rng  # noqa: F401
 from .params import SystemParams
 
 
@@ -110,20 +112,28 @@ def _quantile_std_error(sorted_samples: np.ndarray, epsilon: float) -> float:
 
 
 def _collect_statistics(params: SystemParams, trials: int, seed: int):
-    """Gather (g_sr, g_d, g_e) for all trials, in trial-index order."""
-    out = np.empty((trials, 3))
-    for i, rng in enumerate(trial_streams(trial_rng(seed, 0), range(trials))):
-        stats = link_statistics(draw_channels(params, rng))
-        out[i, 0] = stats.g_sr
-        out[i, 1] = stats.g_d
-        out[i, 2] = stats.g_e
-    return out[:, 0], out[:, 1], out[:, 2]
+    """Draw (g_sr, g_d, g_e) for all trials from their exact joint law.
+
+    The three are independent: g_sr ~ Gamma(n_r, 1), g_e ~ Exp(1) and
+    g_d = |sqrt(rho*G) + sqrt(1-rho)*z|^2 with G ~ Gamma(n_r, 1), z ~ CN(0, 1).
+    Each variate reads its own substream, so a collection is a prefix of any
+    longer one with the same seed.
+    """
+    g_sr = trial_rng(seed, 0).standard_gamma(params.n_r, trials)
+    gain = trial_rng(seed, 1).standard_gamma(params.n_r, trials)
+    z = trial_rng(seed, 2).standard_normal(2 * trials).view(np.complex128) * math.sqrt(0.5)
+    g_e = trial_rng(seed, 3).standard_exponential(trials)
+    g_d = np.abs(np.sqrt(params.rho * gain) + math.sqrt(1.0 - params.rho) * z) ** 2
+    return g_sr, g_d, g_e
 
 
 def _reduce(scheme: Scheme, g_sr, g_d, g_e, params: SystemParams, trials: int,
             seed: int) -> SecrecyEstimates:
     rates = _af_rates if scheme is Scheme.AF else _df_rates
-    c_d, c_e = rates(g_sr, g_d, g_e, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_d, c_e = rates(g_sr, g_d, g_e, params)
+    if not (np.isfinite(c_d).all() and np.isfinite(c_e).all()):
+        raise ArithmeticError(f"{scheme.value} Monte Carlo rates are not finite")
     diff = np.sort(c_d - c_e)
     c_soc = McEstimate(
         value=max(empirical_quantile(diff, params.epsilon), 0.0),
@@ -152,6 +162,7 @@ def estimate_schemes(schemes, params: SystemParams, trials: int, seed: int) -> d
         ValueError: no schemes, an unknown scheme, a non-positive trial
             count or an out-of-range seed.
         InsufficientSampleError: trials < 100 or epsilon*trials < 1.
+        ArithmeticError: a scheme's per-draw rates are not finite.
     """
     if trials <= 0:
         raise ValueError(f"trials must be a positive integer, got {trials}")
@@ -180,6 +191,7 @@ def estimate(scheme, params: SystemParams, trials: int, seed: int) -> SecrecyEst
     Raises:
         ValueError: non-positive trial count or out-of-range seed.
         InsufficientSampleError: trials < 100 or epsilon*trials < 1.
+        ArithmeticError: the per-draw rates are not finite.
     """
     (result,) = estimate_schemes((scheme,), params, trials, seed).values()
     return result

@@ -9,8 +9,8 @@ from secrelay.channel import (
     draw_channels,
     link_statistics,
     trial_rng,
-    trial_streams,
 )
+from secrelay.montecarlo import _collect_statistics
 from secrelay.params import SystemParams
 
 REFERENCE = SystemParams()  # n_r=100, rho=0.9
@@ -72,36 +72,6 @@ def test_trial_rng_rejects_bad_inputs():
         trial_rng(0, -1)
 
 
-@pytest.mark.parametrize("seed", [0, 2**64 - 1])
-def test_trial_streams_reposition_onto_each_trial_rng_substream(seed):
-    trials = [0, 1, 2**40, 0]  # includes a jump back to an earlier trial
-    for trial, rng in zip(trials, trial_streams(trial_rng(seed, 7), trials), strict=True):
-        a = draw_channels(REFERENCE, rng)
-        b = draw_channels(REFERENCE, trial_rng(seed, trial))
-        for field in _FIELDS:
-            assert np.array_equal(getattr(a, field), getattr(b, field))
-
-
-def test_trial_streams_drop_what_the_previous_trial_left_buffered():
-    streams = trial_streams(trial_rng(5, 0), [3, 3])
-    rng = next(streams)
-    rng.integers(2**32, dtype=np.uint32)  # half of a 64-bit word left pending
-    rng.random(1)  # two of the four words of a Philox block left unread
-    a = draw_channels(REFERENCE, next(streams))
-    b = draw_channels(REFERENCE, trial_rng(5, 3))
-    for field in _FIELDS:
-        assert np.array_equal(getattr(a, field), getattr(b, field))
-
-
-def test_trial_streams_reject_bad_inputs():
-    with pytest.raises(ValueError):
-        list(trial_streams(trial_rng(0, 0), [-1]))
-    used = trial_rng(0, 0)
-    used.standard_normal()
-    with pytest.raises(ValueError):
-        next(trial_streams(used, [0]))
-
-
 def test_unit_scalar_statistics():
     draw = ChannelDraw(
         h_sr=np.array([1.0 + 0j]),
@@ -154,3 +124,21 @@ def test_statistics_are_nonnegative_and_finite(population):
     _, g = population
     assert np.all(np.isfinite(g))
     assert np.all(g >= 0.0)
+
+
+def _ks_two_sample(a, b):
+    """Largest gap between the empirical CDFs of ``a`` and ``b``."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, x, side="right") / a.size
+    cdf_b = np.searchsorted(b, x, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def test_exact_law_sampler_matches_the_per_trial_reference(population):
+    # Two-sample Kolmogorov-Smirnov at the 0.1% level, per statistic.
+    _, g = population
+    fast = _collect_statistics(REFERENCE, g.shape[0], 42)
+    bound = 1.95 * math.sqrt(2.0 / g.shape[0])
+    for column, sample in enumerate(fast):
+        assert _ks_two_sample(sample, g[:, column]) < bound

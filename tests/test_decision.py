@@ -54,6 +54,15 @@ def test_delta_is_the_literal_difference_of_the_closed_forms():
         assert verdict.delta_c_soc == expected
 
 
+@pytest.mark.parametrize("criterion", list(Criterion))
+def test_compare_with_overflowing_powers_is_a_numeric_error(criterion):
+    # Both powers at 2000 dB: the AF closed forms are NaN, and every NaN
+    # comparison is false, so an unchecked verdict would quietly pick DF.
+    p = replace(REFERENCE, p_s=from_decibel(2000.0), p_r=from_decibel(2000.0))
+    with pytest.raises(ArithmeticError, match="AF c_soc is not finite"):
+        compare_schemes(p, criterion)
+
+
 SWITCH_TEMPLATE = replace(REFERENCE, p_r=10.0, epsilon=0.05)
 
 

@@ -19,13 +19,14 @@ from secrelay.channel import LinkStatistics
 from secrelay.montecarlo import (
     InsufficientSampleError,
     _binom_ppf,
+    _collect_statistics,
     af_realization_rates,
     df_realization_rates,
     empirical_quantile,
     estimate,
     estimate_schemes,
 )
-from secrelay.params import SystemParams
+from secrelay.params import SystemParams, from_decibel, validate
 from secrelay.sweep import parse_config, run_sweep
 
 REFERENCE = SystemParams()
@@ -170,17 +171,39 @@ def test_estimate_schemes_rejects_what_estimate_rejects():
 def test_sweep_draws_each_row_and_trial_once(monkeypatch):
     import secrelay.montecarlo as montecarlo
 
-    real_draw, calls = montecarlo.draw_channels, []
+    real_collect, calls = montecarlo._collect_statistics, []
 
-    def counting_draw(params, rng):
-        calls.append(None)
-        return real_draw(params, rng)
+    def counting_collect(params, trials, seed):
+        calls.append(trials)
+        return real_collect(params, trials, seed)
 
-    monkeypatch.setattr(montecarlo, "draw_channels", counting_draw)
+    monkeypatch.setattr(montecarlo, "_collect_statistics", counting_collect)
     doc = {"variable": "alpha-re", "grid": [0.5, 1.0, 2.0], "schemes": ["AF", "DF"],
            "mode": "both", "trials": 200, "seed": 3}
     rows = run_sweep(parse_config(json.dumps(doc)))
-    assert len(calls) == len(rows) * 200  # not once per scheme
+    assert calls == [200] * len(rows)  # not once per scheme
+
+
+def test_a_collection_is_a_prefix_of_any_longer_one():
+    p = replace(REFERENCE, rho=0.37)
+    short = _collect_statistics(p, 200, 2**64 - 1)
+    long = _collect_statistics(p, 1000, 2**64 - 1)
+    for a, b in zip(short, long, strict=True):
+        assert np.array_equal(a, b[:200])
+
+
+OVERFLOW = validate(replace(REFERENCE, p_s=from_decibel(2000.0), p_r=from_decibel(2000.0)))
+
+
+def test_non_finite_rates_are_a_numeric_error():
+    # The AF per-draw SNR is inf/inf there; DF stays finite and is still returned.
+    with pytest.raises(ArithmeticError, match="AF Monte Carlo rates are not finite"):
+        estimate("AF", OVERFLOW, 1000, 1)
+    df = estimate("DF", OVERFLOW, 1000, 1)
+    assert math.isfinite(df.c_soc.value) and df.c_soc.value > 0.0
+    for order in (("AF", "DF"), ("DF", "AF")):
+        with pytest.raises(ArithmeticError, match="AF Monte Carlo rates are not finite"):
+            estimate_schemes(order, OVERFLOW, 1000, 1)
 
 
 def test_estimates_track_the_closed_forms(paper_estimates):
