@@ -49,38 +49,57 @@ class AsymptoticLimit(NamedTuple):
     p0_limit: float
 
 
+def _products(p_s: float, p_r: float, params: SystemParams):
+    # (a, b, c, d, e_coef), in the field order of CompositeCoefficients.
+    b = p_r * params.alpha_rd
+    c = p_s * params.alpha_sr
+    e_coef = p_r * params.alpha_re
+    return c * b, b, c, c * e_coef, e_coef
+
+
 def composite_coefficients(params: SystemParams) -> CompositeCoefficients:
-    b = params.p_r * params.alpha_rd
-    c = params.p_s * params.alpha_sr
-    e_coef = params.p_r * params.alpha_re
-    return CompositeCoefficients(a=c * b, b=b, c=c, d=c * e_coef, e_coef=e_coef)
+    return CompositeCoefficients(*_products(params.p_s, params.p_r, params))
+
+
+def _legit_snr_af(a: float, b: float, c: float, params: SystemParams) -> float:
+    n = params.n_r
+    return a * params.rho * n * n / (b * params.rho * n + c * n + 1.0)
 
 
 def legit_capacity_af(params: SystemParams) -> float:
     """Hardened legitimate capacity of the AF link, bit/s."""
-    k = composite_coefficients(params)
-    n = params.n_r
-    snr = k.a * params.rho * n * n / (k.b * params.rho * n + k.c * n + 1.0)
-    return params.w_hz * math.log2(1.0 + snr)
+    a, b, c, _, _ = _products(params.p_s, params.p_r, params)
+    return params.w_hz * math.log2(1.0 + _legit_snr_af(a, b, c, params))
 
 
-def _eavesdropper_allowance_af(params: SystemParams) -> float:
+def _eavesdropper_allowance_af(c: float, d: float, e_coef: float, params: SystemParams) -> float:
     # Rate ceded to the eavesdropper at outage level epsilon.  With
     # 0 < epsilon <= 1 both numerator and denominator of the ratio are
     # non-positive, so the log argument is >= 1; anything else (including
     # NaN from overflowing power products) means the inputs are unusable.
-    k = composite_coefficients(params)
     n = params.n_r
     ln_eps = math.log(params.epsilon)
-    arg = 1.0 + k.d * n * ln_eps / (k.e_coef * ln_eps - k.c * n - 1.0)
+    arg = 1.0 + d * n * ln_eps / (e_coef * ln_eps - c * n - 1.0)
     if not arg >= 1.0:
         raise ArithmeticError(f"AF eavesdropper log argument {arg} is not >= 1")
     return params.w_hz * math.log2(arg)
 
 
-def secrecy_outage_capacity_af(params: SystemParams) -> float:
-    """Secrecy outage capacity of AF relaying at outage level epsilon, bit/s."""
-    return max(legit_capacity_af(params) - _eavesdropper_allowance_af(params), 0.0)
+def secrecy_outage_capacity_af(params: SystemParams, *, p_s: float | None = None,
+                               p_r: float | None = None) -> float:
+    """Secrecy outage capacity of AF relaying at outage level epsilon, bit/s.
+
+    ``p_s``/``p_r``, when given, stand in for the powers of ``params``; the
+    result equals that at ``replace(params, p_s=..., p_r=...)`` bit for bit.
+
+    Raises:
+        ArithmeticError: the eavesdropper log argument is not >= 1 (an
+            out-of-range epsilon, or power products that overflow to NaN).
+    """
+    a, b, c, d, e_coef = _products(params.p_s if p_s is None else p_s,
+                                   params.p_r if p_r is None else p_r, params)
+    legit = params.w_hz * math.log2(1.0 + _legit_snr_af(a, b, c, params))
+    return max(legit - _eavesdropper_allowance_af(c, d, e_coef, params), 0.0)
 
 
 def interception_probability_af(params: SystemParams) -> float:
@@ -91,24 +110,34 @@ def interception_probability_af(params: SystemParams) -> float:
     """
     if params.p_s == 0.0 or params.p_r == 0.0:
         return 1.0
-    k = composite_coefficients(params)
+    a, b, c, d, e_coef = _products(params.p_s, params.p_r, params)
+    snr_d = _legit_snr_af(a, b, c, params)
     n = params.n_r
-    snr_d = k.a * params.rho * n * n / (k.b * params.rho * n + k.c * n + 1.0)
-    p = math.exp(-(k.c * n + 1.0) * snr_d / (k.d * n - k.e_coef * snr_d))
+    p = math.exp(-(c * n + 1.0) * snr_d / (d * n - e_coef * snr_d))
     return min(max(p, 0.0), 1.0)
+
+
+def _legit_snr_df(p_s: float, p_r: float, params: SystemParams) -> float:
+    n = params.n_r
+    return min(p_s * params.alpha_sr * n, p_r * params.alpha_rd * params.rho * n)
 
 
 def legit_capacity_df(params: SystemParams) -> float:
     """Hardened legitimate capacity of the DF link (min of the two hops), bit/s."""
-    n = params.n_r
-    snr = min(params.p_s * params.alpha_sr * n, params.p_r * params.alpha_rd * params.rho * n)
-    return params.w_hz * math.log2(1.0 + snr)
+    return params.w_hz * math.log2(1.0 + _legit_snr_df(params.p_s, params.p_r, params))
 
 
-def secrecy_outage_capacity_df(params: SystemParams) -> float:
-    """Secrecy outage capacity of DF relaying at outage level epsilon, bit/s."""
-    allowance = params.w_hz * math.log2(1.0 - params.p_r * params.alpha_re * math.log(params.epsilon))
-    return max(legit_capacity_df(params) - allowance, 0.0)
+def secrecy_outage_capacity_df(params: SystemParams, *, p_s: float | None = None,
+                               p_r: float | None = None) -> float:
+    """Secrecy outage capacity of DF relaying at outage level epsilon, bit/s.
+
+    ``p_s``/``p_r``, when given, stand in for the powers of ``params``; the
+    result equals that at ``replace(params, p_s=..., p_r=...)`` bit for bit.
+    """
+    p_s = params.p_s if p_s is None else p_s
+    p_r = params.p_r if p_r is None else p_r
+    allowance = params.w_hz * math.log2(1.0 - p_r * params.alpha_re * math.log(params.epsilon))
+    return max(params.w_hz * math.log2(1.0 + _legit_snr_df(p_s, p_r, params)) - allowance, 0.0)
 
 
 def interception_probability_df(params: SystemParams) -> float:
@@ -119,8 +148,7 @@ def interception_probability_df(params: SystemParams) -> float:
     """
     if params.p_r == 0.0:
         return 0.0
-    n = params.n_r
-    snr_d = min(params.p_s * params.alpha_sr * n, params.p_r * params.alpha_rd * params.rho * n)
+    snr_d = _legit_snr_df(params.p_s, params.p_r, params)
     p = math.exp(-snr_d / (params.p_r * params.alpha_re))
     return min(max(p, 0.0), 1.0)
 

@@ -6,7 +6,7 @@ estimates: the objective is smooth and deterministic, and estimator noise
 would break the golden-section bracketing.
 """
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .analytic import (
@@ -53,13 +53,6 @@ class ComparisonVerdict:
 class RelayPowerOptimum:
     p_r_opt_db: float
     c_soc_opt: float
-
-
-def _with_power_db(params: SystemParams, axis: PowerAxis, value_db: float) -> SystemParams:
-    power = from_decibel(value_db)
-    if axis is PowerAxis.SOURCE:
-        return replace(params, p_s=power)
-    return replace(params, p_r=power)
 
 
 def _db_grid(lo_db: float, hi_db: float, step_db: float):
@@ -113,28 +106,23 @@ def find_switching_point(
     hi_db: float,
     *,
     grid_step_db: float = GRID_STEP_DB,
-    delta=None,
 ):
     """All sign changes of the AF-DF capacity gap along a power axis, in dB.
 
     The gap is scanned on a uniform dB grid and each sign change is refined
-    by bisection to DB_TOL.  ``delta`` may replace the default AF-DF gap with
-    another function of SystemParams (diagnostics); an identically-zero gap
-    yields no crossings.
+    by bisection to DB_TOL; an identically-zero gap yields no crossings.
 
     Raises:
-        ArithmeticError: a capacity or the gap is not finite at a scanned point.
+        ArithmeticError: a capacity is not finite at a scanned point.
     """
-    axis = PowerAxis(sweep_var)
+    field = "p_s" if PowerAxis(sweep_var) is PowerAxis.SOURCE else "p_r"
     if not lo_db < hi_db:
         raise ValueError(f"invalid bracket: need lo_db < hi_db, got [{lo_db}, {hi_db}]")
 
     def f(db):
-        p = _with_power_db(params_template, axis, db)
-        if delta is not None:
-            return _finite(delta(p), "capacity gap", db)
-        return (_finite(secrecy_outage_capacity_af(p), "AF c_soc", db)
-                - _finite(secrecy_outage_capacity_df(p), "DF c_soc", db))
+        power = {field: from_decibel(db)}
+        return (_finite(secrecy_outage_capacity_af(params_template, **power), "AF c_soc", db)
+                - _finite(secrecy_outage_capacity_df(params_template, **power), "DF c_soc", db))
 
     grid = _db_grid(lo_db, hi_db, grid_step_db)
     values = [f(x) for x in grid]
@@ -183,7 +171,7 @@ def optimal_relay_power(
     name = f"{scheme.value} c_soc"
 
     def f(db):
-        return _finite(soc(_with_power_db(params_template, PowerAxis.RELAY, db)), name, db)
+        return _finite(soc(params_template, p_r=from_decibel(db)), name, db)
 
     grid = _db_grid(lo_db, hi_db, GRID_STEP_DB)
     grid_values = [f(x) for x in grid]

@@ -9,6 +9,7 @@ estimate is a pure function of (params, trials, seed).  AF and DF read the
 same three link statistics per draw, so ``estimate_schemes`` draws once for
 both; a sweep row's schemes share that row's draws.
 """
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -59,15 +60,32 @@ def _df_rates(g_sr, g_d, g_e, params: SystemParams):
     return params.w_hz * np.log2(1.0 + snr_d), params.w_hz * np.log2(1.0 + snr_e)
 
 
+def _finite_rates(scheme: Scheme, g_sr, g_d, g_e, params: SystemParams):
+    rates = _af_rates if scheme is Scheme.AF else _df_rates
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_d, c_e = rates(g_sr, g_d, g_e, params)
+    if not (np.isfinite(c_d).all() and np.isfinite(c_e).all()):
+        raise ArithmeticError(f"{scheme.value} Monte Carlo rates are not finite")
+    return c_d, c_e
+
+
 def af_realization_rates(stats: LinkStatistics, params: SystemParams) -> RatePair:
-    """Per-draw legitimate and eavesdropper rates under AF relaying."""
-    c_d, c_e = _af_rates(stats.g_sr, stats.g_d, stats.g_e, params)
+    """Per-draw legitimate and eavesdropper rates under AF relaying.
+
+    Raises:
+        ArithmeticError: a rate is not finite (the power products overflow).
+    """
+    c_d, c_e = _finite_rates(Scheme.AF, stats.g_sr, stats.g_d, stats.g_e, params)
     return RatePair(float(c_d), float(c_e))
 
 
 def df_realization_rates(stats: LinkStatistics, params: SystemParams) -> RatePair:
-    """Per-draw legitimate and eavesdropper rates under DF relaying."""
-    c_d, c_e = _df_rates(stats.g_sr, stats.g_d, stats.g_e, params)
+    """Per-draw legitimate and eavesdropper rates under DF relaying.
+
+    Raises:
+        ArithmeticError: a rate is not finite (the power products overflow).
+    """
+    c_d, c_e = _finite_rates(Scheme.DF, stats.g_sr, stats.g_d, stats.g_e, params)
     return RatePair(float(c_d), float(c_e))
 
 
@@ -82,11 +100,13 @@ def empirical_quantile(samples, epsilon: float) -> float:
     return float(np.partition(x, k - 1)[k - 1])
 
 
+@functools.lru_cache
 def _binom_ppf(q: float, n: int, p: float) -> int:
     """Smallest k with P(X <= k) >= q for X ~ Binomial(n, p), 0 < q < 1.
 
     Sums the exact pmf upward from 40 standard deviations below the mean,
-    where the mass left out is far below double precision.
+    where the mass left out is far below double precision.  Memoised: a
+    sweep asks for the same two quantiles for every row and scheme.
     """
     if p >= 1.0:
         return n
@@ -129,11 +149,7 @@ def _collect_statistics(params: SystemParams, trials: int, seed: int):
 
 def _reduce(scheme: Scheme, g_sr, g_d, g_e, params: SystemParams, trials: int,
             seed: int) -> SecrecyEstimates:
-    rates = _af_rates if scheme is Scheme.AF else _df_rates
-    with np.errstate(over="ignore", invalid="ignore"):
-        c_d, c_e = rates(g_sr, g_d, g_e, params)
-    if not (np.isfinite(c_d).all() and np.isfinite(c_e).all()):
-        raise ArithmeticError(f"{scheme.value} Monte Carlo rates are not finite")
+    c_d, c_e = _finite_rates(scheme, g_sr, g_d, g_e, params)
     diff = np.sort(c_d - c_e)
     c_soc = McEstimate(
         value=max(empirical_quantile(diff, params.epsilon), 0.0),

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from secrelay.analytic import (
     secrecy_outage_capacity_af,
     secrecy_outage_capacity_df,
 )
-from secrelay.params import SystemParams, validate
+from secrelay.params import SystemParams, from_decibel, validate
 
 REFERENCE = SystemParams()  # 20 dB both powers, alphas 1, rho 0.9, n_r 100, eps 0.01
 
@@ -246,3 +247,47 @@ def test_high_relay_power_collapses_both_schemes():
     p = SystemParams(p_s=10.0, p_r=1e8, epsilon=0.05)
     assert secrecy_outage_capacity_af(p) <= 100.0
     assert secrecy_outage_capacity_df(p) <= 100.0
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _same(x, y):
+    if isinstance(x, float) and isinstance(y, float):
+        if math.isnan(x) or math.isnan(y):
+            return math.isnan(x) and math.isnan(y)
+        return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+    return x == y
+
+
+def test_power_keywords_equal_a_replaced_record():
+    # The decision searches pass the swept power as a keyword instead of
+    # copying the record; that must not move a single bit, nor an error.
+    rng = random.Random(20261019)
+    powers = (0.0, 1e-300, 1.0, from_decibel(2000.0), from_decibel(3070.0), 1e308)
+    seen = set()
+    for _ in range(300):
+        template = validate(SystemParams(
+            p_s=rng.choice((*powers, 10.0 ** rng.uniform(-5, 8))),
+            p_r=rng.choice((*powers, 10.0 ** rng.uniform(-5, 8))),
+            alpha_sr=10.0 ** rng.uniform(-2, 2),
+            alpha_rd=10.0 ** rng.uniform(-2, 2),
+            alpha_re=rng.choice((1e-300, 1e-12, 10.0 ** rng.uniform(-2, 2))),
+            rho=rng.choice((0.0, 1.0, rng.random())),
+            n_r=rng.choice((1, 2, 100, rng.randint(1, 1000))),
+            epsilon=rng.choice((1.0, 1e-300, rng.uniform(1e-4, 1.0))),
+        ))
+        for x in (*powers, 10.0 ** rng.uniform(-5, 8)):
+            for fields in ({"p_s": x}, {"p_r": x}, {"p_s": x, "p_r": x}):
+                for soc in (secrecy_outage_capacity_af, secrecy_outage_capacity_df):
+                    got = _outcome(soc, template, **fields)
+                    want = _outcome(soc, replace(template, **fields))
+                    assert _same(got, want), (soc.__name__, template, fields, got, want)
+                    seen.add(type(got) if isinstance(got, float) else got[0])
+                    if isinstance(got, float):
+                        seen.add("nan" if math.isnan(got) else "zero" if got == 0.0 else "positive")
+    assert {"nan", "zero", "positive", ArithmeticError} <= seen

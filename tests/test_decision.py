@@ -94,9 +94,15 @@ def test_switching_point_is_stable_under_grid_refinement():
 
 
 def test_identical_schemes_have_no_switching_point():
-    same = lambda p: secrecy_outage_capacity_af(p) - secrecy_outage_capacity_af(p)
-    assert find_switching_point(SWITCH_TEMPLATE, "source-power", -10.0, 40.0,
-                                delta=same) == []
+    # rho*n_r*alpha_rd <= alpha_re*ln(1/eps) zeroes both closed forms at every
+    # power, so the AF-DF gap is identically zero across the bracket.
+    from secrelay.analytic import secrecy_outage_capacity_df
+
+    hopeless = replace(SWITCH_TEMPLATE, alpha_re=1e6)
+    for db in range(-10, 41):
+        p = replace(hopeless, p_s=from_decibel(db))
+        assert secrecy_outage_capacity_af(p) == 0.0 == secrecy_outage_capacity_df(p)
+    assert find_switching_point(hopeless, "source-power", -10.0, 40.0) == []
 
 
 def test_switching_point_rejects_invalid_bracket():

@@ -201,6 +201,9 @@ def test_non_finite_rates_are_a_numeric_error():
         estimate("AF", OVERFLOW, 1000, 1)
     df = estimate("DF", OVERFLOW, 1000, 1)
     assert math.isfinite(df.c_soc.value) and df.c_soc.value > 0.0
+    with pytest.raises(ArithmeticError, match="AF Monte Carlo rates are not finite"):
+        af_realization_rates(stats(100.0, 90.0, 1.0), OVERFLOW)
+    assert all(map(math.isfinite, df_realization_rates(stats(100.0, 90.0, 1.0), OVERFLOW)))
     for order in (("AF", "DF"), ("DF", "AF")):
         with pytest.raises(ArithmeticError, match="AF Monte Carlo rates are not finite"):
             estimate_schemes(order, OVERFLOW, 1000, 1)
