@@ -6,12 +6,11 @@ scheme-selection / relay-power optimization on top.
 """
 from .analytic import (
     AsymptoticLimit,
-    CompositeCoefficients,
     Regime,
     Scheme,
     SchemeReport,
+    af_snr,
     asymptotic_limit,
-    composite_coefficients,
     eavesdropper_cdf_af,
     interception_probability_af,
     interception_probability_df,
@@ -41,10 +40,7 @@ from .decision import (
 from .montecarlo import (
     InsufficientSampleError,
     McEstimate,
-    RatePair,
     SecrecyEstimates,
-    af_realization_rates,
-    df_realization_rates,
     empirical_quantile,
     estimate,
     estimate_schemes,

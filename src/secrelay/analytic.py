@@ -23,20 +23,6 @@ class Regime(str, Enum):
 
 
 @dataclass(frozen=True)
-class CompositeCoefficients:
-    """Power/path-loss products shared by the SNR expressions.
-
-    Built so that a == c*b and d == c*e_coef hold exactly in floating point.
-    """
-
-    a: float       # p_s * p_r * alpha_sr * alpha_rd
-    b: float       # p_r * alpha_rd
-    c: float       # p_s * alpha_sr
-    d: float       # p_s * p_r * alpha_sr * alpha_re
-    e_coef: float  # p_r * alpha_re
-
-
-@dataclass(frozen=True)
 class SchemeReport:
     scheme: Scheme
     c_d: float    # legitimate channel capacity, bit/s
@@ -49,40 +35,22 @@ class AsymptoticLimit(NamedTuple):
     p0_limit: float
 
 
-def _products(p_s: float, p_r: float, params: SystemParams):
-    # (a, b, c, d, e_coef), in the field order of CompositeCoefficients.
-    b = p_r * params.alpha_rd
-    c = p_s * params.alpha_sr
-    e_coef = p_r * params.alpha_re
-    return c * b, b, c, c * e_coef, e_coef
+def af_snr(c, h, g_sr, g):
+    """Per-realization AF end-to-end SNR at a receiver whose link gain is ``g``.
 
-
-def composite_coefficients(params: SystemParams) -> CompositeCoefficients:
-    return CompositeCoefficients(*_products(params.p_s, params.p_r, params))
-
-
-def _legit_snr_af(a: float, b: float, c: float, params: SystemParams) -> float:
-    n = params.n_r
-    return a * params.rho * n * n / (b * params.rho * n + c * n + 1.0)
+    ``c = p_s*alpha_sr``, ``h = p_r*alpha`` of the relay's link to that
+    receiver, ``g_sr`` the first-hop gain.  Arithmetic only, so floats and
+    numpy arrays both work.  Every AF closed form is this SNR at the
+    channel-hardened gains g_sr = n_r, g_d = rho*n_r and g_e = ln(1/epsilon).
+    """
+    return c * h * g * g_sr / (h * g + c * g_sr + 1.0)
 
 
 def legit_capacity_af(params: SystemParams) -> float:
     """Hardened legitimate capacity of the AF link, bit/s."""
-    a, b, c, _, _ = _products(params.p_s, params.p_r, params)
-    return params.w_hz * math.log2(1.0 + _legit_snr_af(a, b, c, params))
-
-
-def _eavesdropper_allowance_af(c: float, d: float, e_coef: float, params: SystemParams) -> float:
-    # Rate ceded to the eavesdropper at outage level epsilon.  With
-    # 0 < epsilon <= 1 both numerator and denominator of the ratio are
-    # non-positive, so the log argument is >= 1; anything else (including
-    # NaN from overflowing power products) means the inputs are unusable.
     n = params.n_r
-    ln_eps = math.log(params.epsilon)
-    arg = 1.0 + d * n * ln_eps / (e_coef * ln_eps - c * n - 1.0)
-    if not arg >= 1.0:
-        raise ArithmeticError(f"AF eavesdropper log argument {arg} is not >= 1")
-    return params.w_hz * math.log2(arg)
+    snr = af_snr(params.p_s * params.alpha_sr, params.p_r * params.alpha_rd, n, params.rho * n)
+    return params.w_hz * math.log2(1.0 + snr)
 
 
 def secrecy_outage_capacity_af(params: SystemParams, *, p_s: float | None = None,
@@ -96,25 +64,31 @@ def secrecy_outage_capacity_af(params: SystemParams, *, p_s: float | None = None
         ArithmeticError: the eavesdropper log argument is not >= 1 (an
             out-of-range epsilon, or power products that overflow to NaN).
     """
-    a, b, c, d, e_coef = _products(params.p_s if p_s is None else p_s,
-                                   params.p_r if p_r is None else p_r, params)
-    legit = params.w_hz * math.log2(1.0 + _legit_snr_af(a, b, c, params))
-    return max(legit - _eavesdropper_allowance_af(c, d, e_coef, params), 0.0)
+    c = (params.p_s if p_s is None else p_s) * params.alpha_sr
+    p_r = params.p_r if p_r is None else p_r
+    n = params.n_r
+    legit = params.w_hz * math.log2(1.0 + af_snr(c, p_r * params.alpha_rd, n, params.rho * n))
+    # Rate ceded to the eavesdropper at outage level epsilon.  With
+    # 0 < epsilon <= 1 its hardened gain is >= 0, so the log argument is
+    # >= 1; anything else (including NaN from overflowing power products)
+    # means the inputs are unusable.
+    arg = 1.0 + af_snr(c, p_r * params.alpha_re, n, -math.log(params.epsilon))
+    if not arg >= 1.0:
+        raise ArithmeticError(f"AF eavesdropper log argument {arg} is not >= 1")
+    return max(legit - params.w_hz * math.log2(arg), 0.0)
 
 
 def interception_probability_af(params: SystemParams) -> float:
     """Probability that the AF eavesdropper capacity reaches the legitimate one.
 
-    Zero source or relay power is reported as the convention 1.0 (no secrecy
-    is possible), not as a value of the closed form.
+    The AF eavesdropper SNR reaches the destination's exactly when
+    ``alpha_re*g_e >= alpha_rd*g_d``, so at positive powers the closed form
+    does not depend on them.  Zero source or relay power is reported as the
+    convention 1.0 (no secrecy is possible), not as a value of the closed form.
     """
     if params.p_s == 0.0 or params.p_r == 0.0:
         return 1.0
-    a, b, c, d, e_coef = _products(params.p_s, params.p_r, params)
-    snr_d = _legit_snr_af(a, b, c, params)
-    n = params.n_r
-    p = math.exp(-(c * n + 1.0) * snr_d / (d * n - e_coef * snr_d))
-    return min(max(p, 0.0), 1.0)
+    return math.exp(-params.alpha_rd * (params.rho * params.n_r) / params.alpha_re)
 
 
 def _legit_snr_df(p_s: float, p_r: float, params: SystemParams) -> float:
@@ -154,15 +128,15 @@ def interception_probability_df(params: SystemParams) -> float:
 
 
 def eavesdropper_cdf_af(x: float, params: SystemParams) -> float:
-    """CDF of the hardened AF eavesdropper SNR, defined on [0, d*n_r/e_coef)."""
-    k = composite_coefficients(params)
-    if k.d <= 0.0 or k.e_coef <= 0.0:
+    """CDF of the hardened AF eavesdropper SNR, defined on [0, p_s*alpha_sr*n_r)."""
+    c = params.p_s * params.alpha_sr
+    e = params.p_r * params.alpha_re
+    if c <= 0.0 or e <= 0.0:
         raise ValueError("eavesdropper SNR law requires positive p_s and p_r")
-    n = params.n_r
-    bound = k.d * n / k.e_coef
+    bound = c * params.n_r
     if not 0.0 <= x < bound:
         raise ValueError(f"x must lie in [0, {bound}), got {x}")
-    return 1.0 - math.exp(-(k.c * n + 1.0) * x / (k.d * n - k.e_coef * x))
+    return 1.0 - math.exp(-(bound + 1.0) * x / (e * (bound - x)))
 
 
 def asymptotic_limit(params: SystemParams, regime, scheme) -> AsymptoticLimit:

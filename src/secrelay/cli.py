@@ -108,6 +108,8 @@ def _out_path(base: Path, label: str) -> Path:
 
 
 def _cmd_sweep(args) -> int:
+    if args.out.is_dir():
+        raise IsADirectoryError(f"--out {args.out} is a directory, not a file")
     if args.preset:
         runs = [(label, _apply_overrides(spec, args)) for label, spec in sweep.preset_specs(args.preset)]
     else:

@@ -1,8 +1,10 @@
 """Monte Carlo estimation of secrecy outage capacity and interception
 probability from the exact per-realization SNRs.
 
-Per-draw SNRs are computed in closed form from the link statistics, so no
-additive noise is ever sampled; that removes estimator variance without bias.
+Per-draw SNRs are computed in closed form from the link statistics (for AF
+by ``analytic.af_snr``, the kernel the closed forms evaluate at the hardened
+gains), so no additive noise is ever sampled; that removes estimator variance
+without bias.
 The statistics themselves are drawn from their exact law, not from channel
 vectors, one counter-based substream of the seed per variate, so every
 estimate is a pure function of (params, trials, seed).  AF and DF read the
@@ -16,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import Scheme, composite_coefficients
+from .analytic import Scheme, af_snr
 # draw_channels and link_statistics stay importable: perfbench's tracer looks them up here.
-from .channel import LinkStatistics, draw_channels, link_statistics, trial_rng  # noqa: F401
+from .channel import draw_channels, link_statistics, trial_rng  # noqa: F401
 from .params import SystemParams
 
 
@@ -34,20 +36,15 @@ class McEstimate:
     seed: int
 
 
-class RatePair(NamedTuple):
-    c_d: float  # legitimate rate, bit/s
-    c_e: float  # eavesdropper rate, bit/s
-
-
 class SecrecyEstimates(NamedTuple):
     c_soc: McEstimate
     p0: McEstimate
 
 
 def _af_rates(g_sr, g_d, g_e, params: SystemParams):
-    k = composite_coefficients(params)
-    snr_d = k.a * g_d * g_sr / (k.b * g_d + k.c * g_sr + 1.0)
-    snr_e = k.d * g_e * g_sr / (k.e_coef * g_e + k.c * g_sr + 1.0)
+    c = params.p_s * params.alpha_sr
+    snr_d = af_snr(c, params.p_r * params.alpha_rd, g_sr, g_d)
+    snr_e = af_snr(c, params.p_r * params.alpha_re, g_sr, g_e)
     return params.w_hz * np.log2(1.0 + snr_d), params.w_hz * np.log2(1.0 + snr_e)
 
 
@@ -67,26 +64,6 @@ def _finite_rates(scheme: Scheme, g_sr, g_d, g_e, params: SystemParams):
     if not (np.isfinite(c_d).all() and np.isfinite(c_e).all()):
         raise ArithmeticError(f"{scheme.value} Monte Carlo rates are not finite")
     return c_d, c_e
-
-
-def af_realization_rates(stats: LinkStatistics, params: SystemParams) -> RatePair:
-    """Per-draw legitimate and eavesdropper rates under AF relaying.
-
-    Raises:
-        ArithmeticError: a rate is not finite (the power products overflow).
-    """
-    c_d, c_e = _finite_rates(Scheme.AF, stats.g_sr, stats.g_d, stats.g_e, params)
-    return RatePair(float(c_d), float(c_e))
-
-
-def df_realization_rates(stats: LinkStatistics, params: SystemParams) -> RatePair:
-    """Per-draw legitimate and eavesdropper rates under DF relaying.
-
-    Raises:
-        ArithmeticError: a rate is not finite (the power products overflow).
-    """
-    c_d, c_e = _finite_rates(Scheme.DF, stats.g_sr, stats.g_d, stats.g_e, params)
-    return RatePair(float(c_d), float(c_e))
 
 
 def empirical_quantile(samples, epsilon: float) -> float:

@@ -17,7 +17,6 @@ import pytest
 from secrelay.analytic import (
     Scheme,
     asymptotic_limit,
-    composite_coefficients,
     eavesdropper_cdf_af,
     interception_probability_af,
     interception_probability_df,
@@ -202,16 +201,16 @@ def test_criterion_7_switching_point_exists():
 
 
 def test_criterion_8_eavesdropper_snr_distribution():
-    k = composite_coefficients(REFERENCE)
+    # Literal power products, so the check does not share the SNR kernel.
+    c = REFERENCE.p_s * REFERENCE.alpha_sr
+    e = REFERENCE.p_r * REFERENCE.alpha_re
     n = TRIALS
     gamma_e = np.empty(n)
     g_e = np.empty(n)
     for i in range(n):
         s = link_statistics(draw_channels(REFERENCE, trial_rng(SEED, i)))
         g_e[i] = s.g_e
-        gamma_e[i] = (
-            k.d * s.g_e * s.g_sr / (k.e_coef * s.g_e + k.c * s.g_sr + 1.0)
-        )
+        gamma_e[i] = c * e * s.g_e * s.g_sr / (e * s.g_e + c * s.g_sr + 1.0)
     gamma_e.sort()
     cdf = np.array([eavesdropper_cdf_af(x, REFERENCE) for x in gamma_e])
     d_plus = np.max(np.arange(1, n + 1) / n - cdf)

@@ -9,7 +9,6 @@ from secrelay.analytic import (
     Regime,
     Scheme,
     asymptotic_limit,
-    composite_coefficients,
     eavesdropper_cdf_af,
     interception_probability_af,
     interception_probability_df,
@@ -49,14 +48,6 @@ def random_valid_params(rng, n=20):
             epsilon=rng.uniform(0.001, 0.9),
         )))
     return out
-
-
-def test_composite_coefficient_products_are_exact():
-    rng = np.random.default_rng(0)
-    for p in random_valid_params(rng, 50):
-        k = composite_coefficients(p)
-        assert k.a == k.c * k.b
-        assert k.d == k.c * k.e_coef
 
 
 def test_af_legit_capacity_matches_oracle():
@@ -172,8 +163,7 @@ def test_scheme_report_invariants_over_random_params():
 
 def test_eavesdropper_cdf_anchors_and_domain():
     assert eavesdropper_cdf_af(0.0, REFERENCE) == 0.0
-    k = composite_coefficients(REFERENCE)
-    bound = k.d * REFERENCE.n_r / k.e_coef
+    bound = REFERENCE.p_s * REFERENCE.alpha_sr * REFERENCE.n_r
     assert eavesdropper_cdf_af(0.99 * bound, REFERENCE) > 0.999999
     for bad in (-1e-9, bound, bound * 1.5):
         with pytest.raises(ValueError):
@@ -183,8 +173,7 @@ def test_eavesdropper_cdf_anchors_and_domain():
 
 
 def test_eavesdropper_cdf_is_nondecreasing_with_probability_range():
-    k = composite_coefficients(REFERENCE)
-    bound = k.d * REFERENCE.n_r / k.e_coef
+    bound = REFERENCE.p_s * REFERENCE.alpha_sr * REFERENCE.n_r
     xs = np.linspace(0.0, 0.999 * bound, 400)
     values = [eavesdropper_cdf_af(x, REFERENCE) for x in xs]
     assert all(b >= a for a, b in zip(values, values[1:]))

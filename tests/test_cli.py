@@ -1,11 +1,15 @@
 import hashlib
 import json
+import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import secrelay
 from secrelay.analytic import Scheme, scheme_report
 from secrelay.montecarlo import estimate
 from secrelay.params import SystemParams
@@ -395,3 +399,28 @@ def test_cli_preset_expands_to_labeled_files(tmp_path):
     assert result.returncode == 0
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["fig3b-nr100.csv", "fig3b-nr200.csv"]
+
+
+@pytest.mark.parametrize("preset", [None, "fig2"])
+def test_cli_sweep_out_naming_a_directory_is_an_io_error(tmp_path, preset):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config())
+    source = ("--config", str(cfg)) if preset is None else ("--preset", preset)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    # Run from inside the directory, as `--out .`; keep the package importable there.
+    path = (str(Path(secrelay.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run([sys.executable, "-m", "secrelay", "sweep", *source, "--out", "."],
+                            cwd=out_dir, env=env, capture_output=True, text=True)
+    assert result.returncode == 4
+    assert result.stderr.startswith("i/o error: ") and "is a directory" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert sorted(tmp_path.rglob("*")) == [cfg, out_dir]
+
+
+def test_cli_point_at_huge_relay_power_reports_the_exact_af_interception():
+    # The AF interception probability does not depend on the powers.
+    result = run_cli("point", "--p-s-db", "10", "--p-r-db", "200")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["AF"]["p0"] == math.exp(-90.0)

@@ -15,13 +15,12 @@ from secrelay.analytic import (
     secrecy_outage_capacity_af,
     secrecy_outage_capacity_df,
 )
-from secrelay.channel import LinkStatistics
+from secrelay.channel import draw_channels, link_statistics, trial_rng
 from secrelay.montecarlo import (
     InsufficientSampleError,
     _binom_ppf,
     _collect_statistics,
-    af_realization_rates,
-    df_realization_rates,
+    _finite_rates,
     empirical_quantile,
     estimate,
     estimate_schemes,
@@ -40,47 +39,67 @@ def paper_estimates():
     return af, df
 
 
-def stats(g_sr, g_d, g_e):
-    return LinkStatistics(g_sr=g_sr, g_d=g_d, g_e=g_e)
+def rates(scheme, g_sr, g_d, g_e, params=REFERENCE):
+    """(c_d, c_e) of one draw, through the path ``estimate`` runs."""
+    c_d, c_e = _finite_rates(Scheme(scheme), g_sr, g_d, g_e, params)
+    return float(c_d), float(c_e)
+
+
+def statistics_of(draws):
+    """(g_sr, g_d, g_e) arrays of per-trial channel draws."""
+    return np.array([(s.g_sr, s.g_d, s.g_e) for s in map(link_statistics, draws)]).T
 
 
 def test_rates_vanish_without_first_hop_signal():
-    for rates in (af_realization_rates, df_realization_rates):
-        pair = rates(stats(0.0, 3.0, 1.5), REFERENCE)
-        assert pair.c_d == 0.0
-        assert pair.c_e == 0.0
+    for scheme in ("AF", "DF"):
+        assert rates(scheme, 0.0, 3.0, 1.5) == (0.0, 0.0)
 
 
 def test_af_rates_are_equal_for_symmetric_links():
     p = replace(REFERENCE, alpha_rd=0.8, alpha_re=0.8)
-    pair = af_realization_rates(stats(100.0, 2.7, 2.7), p)
-    assert pair.c_d == pair.c_e
+    c_d, c_e = rates("AF", 100.0, 2.7, 2.7, p)
+    assert c_d == c_e
 
 
 def test_af_rates_match_hand_evaluation():
     # a=d=1e4, b=e=100, c=100 at the reference setup
-    s = stats(100.0, 90.0, 1.0)
-    pair = af_realization_rates(s, REFERENCE)
+    c_d, c_e = rates("AF", 100.0, 90.0, 1.0)
     snr_d = 1e4 * 90.0 * 100.0 / (100 * 90.0 + 100 * 100.0 + 1.0)
     snr_e = 1e4 * 1.0 * 100.0 / (100 * 1.0 + 100 * 100.0 + 1.0)
-    assert pair.c_d == pytest.approx(1e4 * math.log2(1 + snr_d), rel=1e-12)
-    assert pair.c_e == pytest.approx(1e4 * math.log2(1 + snr_e), rel=1e-12)
+    assert c_d == pytest.approx(1e4 * math.log2(1 + snr_d), rel=1e-12)
+    assert c_e == pytest.approx(1e4 * math.log2(1 + snr_e), rel=1e-12)
 
 
 def test_df_eavesdropper_rate_saturates_at_the_first_hop():
     # p_r*alpha_re*g_e >= p_s*alpha_sr*g_sr pins c_e to the first hop.
     p = replace(REFERENCE, p_s=1.0, p_r=100.0)
-    s = stats(5.0, 90.0, 2.0)
-    pair = df_realization_rates(s, p)
-    assert pair.c_e == pytest.approx(p.w_hz * math.log2(1.0 + 5.0), rel=1e-12)
+    _, c_e = rates("DF", 5.0, 90.0, 2.0, p)
+    assert c_e == pytest.approx(p.w_hz * math.log2(1.0 + 5.0), rel=1e-12)
 
 
 def test_df_rates_take_the_weaker_hop():
     p = replace(REFERENCE, p_s=10.0, p_r=1.0)
-    s = stats(50.0, 3.0, 0.5)
-    pair = df_realization_rates(s, p)
-    assert pair.c_d == pytest.approx(p.w_hz * math.log2(1.0 + 3.0), rel=1e-12)
-    assert pair.c_e == pytest.approx(p.w_hz * math.log2(1.0 + 0.5), rel=1e-12)
+    c_d, c_e = rates("DF", 50.0, 3.0, 0.5, p)
+    assert c_d == pytest.approx(p.w_hz * math.log2(1.0 + 3.0), rel=1e-12)
+    assert c_e == pytest.approx(p.w_hz * math.log2(1.0 + 0.5), rel=1e-12)
+
+
+def test_legit_rates_match_snrs_written_out_from_the_channel_vectors():
+    # Hop SNRs from the vectors themselves, not through the statistics or the
+    # SNR kernel: AF is x*y/(x+y+1), DF the weaker hop.
+    p = validate(SystemParams(p_s=30.0, p_r=7.0, alpha_sr=0.6, alpha_rd=1.7, alpha_re=0.4,
+                              rho=0.8, n_r=16))
+    draws = [draw_channels(p, trial_rng(SEED, i)) for i in range(200)]
+    x = np.empty(len(draws))
+    y = np.empty(len(draws))
+    for i, d in enumerate(draws):
+        u = d.h_rd_hat / np.linalg.norm(d.h_rd_hat)
+        x[i] = p.p_s * p.alpha_sr * np.sum(np.abs(d.h_sr) ** 2)
+        y[i] = p.p_r * p.alpha_rd * abs(np.vdot(u, d.h_rd)) ** 2
+    g_sr, g_d, g_e = statistics_of(draws)
+    for scheme, snr in (("AF", x * y / (x + y + 1.0)), ("DF", np.minimum(x, y))):
+        c_d, _ = _finite_rates(Scheme(scheme), g_sr, g_d, g_e, p)
+        np.testing.assert_allclose(c_d, p.w_hz * np.log2(1.0 + snr), rtol=1e-12, atol=0.0)
 
 
 def test_empirical_quantile_is_the_lower_order_statistic():
@@ -202,8 +221,8 @@ def test_non_finite_rates_are_a_numeric_error():
     df = estimate("DF", OVERFLOW, 1000, 1)
     assert math.isfinite(df.c_soc.value) and df.c_soc.value > 0.0
     with pytest.raises(ArithmeticError, match="AF Monte Carlo rates are not finite"):
-        af_realization_rates(stats(100.0, 90.0, 1.0), OVERFLOW)
-    assert all(map(math.isfinite, df_realization_rates(stats(100.0, 90.0, 1.0), OVERFLOW)))
+        rates("AF", 100.0, 90.0, 1.0, OVERFLOW)
+    assert all(map(math.isfinite, rates("DF", 100.0, 90.0, 1.0, OVERFLOW)))
     for order in (("AF", "DF"), ("DF", "AF")):
         with pytest.raises(ArithmeticError, match="AF Monte Carlo rates are not finite"):
             estimate_schemes(order, OVERFLOW, 1000, 1)
@@ -274,14 +293,9 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_mean_per_draw_capacity_hardens_to_the_closed_form():
-    from secrelay.channel import draw_channels, link_statistics, trial_rng
-
-    n_draws = 4_000
-    c_d_af = np.empty(n_draws)
-    c_d_df = np.empty(n_draws)
-    for i in range(n_draws):
-        s = link_statistics(draw_channels(REFERENCE, trial_rng(SEED, i)))
-        c_d_af[i] = af_realization_rates(s, REFERENCE).c_d
-        c_d_df[i] = df_realization_rates(s, REFERENCE).c_d
+    draws = (draw_channels(REFERENCE, trial_rng(SEED, i)) for i in range(4_000))
+    g_sr, g_d, g_e = statistics_of(draws)
+    c_d_af, _ = _finite_rates(Scheme.AF, g_sr, g_d, g_e, REFERENCE)
+    c_d_df, _ = _finite_rates(Scheme.DF, g_sr, g_d, g_e, REFERENCE)
     assert c_d_af.mean() == pytest.approx(legit_capacity_af(REFERENCE), rel=0.01)
     assert c_d_df.mean() == pytest.approx(legit_capacity_df(REFERENCE), rel=0.01)
