@@ -48,7 +48,6 @@ from .montecarlo import (
 from .params import ParameterError, SystemParams, from_decibel, validate
 from .sweep import (
     ConfigError,
-    SweepRow,
     SweepSpec,
     emit_report,
     parse_config,

@@ -22,19 +22,13 @@ EXIT_IO = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the Monte Carlo master seed (u64)")
-    common.add_argument("--trials", type=int, default=None,
-                        help="override the Monte Carlo trial count")
-
     parser = argparse.ArgumentParser(
         prog="secrelay",
         description="Secrecy performance of large-antenna AF/DF relay links",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    point = sub.add_parser("point", parents=[common],
+    point = sub.add_parser("point",
                            help="closed-form report for both schemes at one operating point")
     point.add_argument("--p-s-db", type=float, default=20.0, help="source power, dB")
     point.add_argument("--p-r-db", type=float, default=20.0, help="relay power, dB")
@@ -46,39 +40,34 @@ def _build_parser() -> argparse.ArgumentParser:
     point.add_argument("--w-hz", type=float, default=10_000.0)
     point.add_argument("--epsilon", type=float, default=0.01)
 
-    sweep_cmd = sub.add_parser("sweep", parents=[common],
-                               help="run a parameter sweep and write a table")
+    sweep_cmd = sub.add_parser("sweep", help="run a parameter sweep and write a table")
     source = sweep_cmd.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", type=Path, help="JSON sweep configuration")
     source.add_argument("--preset", choices=sweep.PRESETS, help="built-in figure preset")
     sweep_cmd.add_argument("--out", type=Path, required=True, help="output path")
     sweep_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
+    sweep_cmd.add_argument("--seed", type=int, default=None,
+                           help="override the Monte Carlo master seed (u64)")
+    sweep_cmd.add_argument("--trials", type=int, default=None,
+                           help="override the Monte Carlo trial count")
 
-    optimize = sub.add_parser("optimize", parents=[common],
+    optimize = sub.add_parser("optimize",
                               help="find the relay power maximizing secrecy outage capacity")
     optimize.add_argument("--config", type=Path, required=True,
                           help="config with variable=relay-power-db; its grid is the bracket")
 
-    switch = sub.add_parser("switch", parents=[common],
+    switch = sub.add_parser("switch",
                             help="locate AF/DF switching points along a power axis")
     switch.add_argument("--config", type=Path, required=True,
                         help="config with a power-axis variable; its grid is the bracket")
     return parser
 
 
-def _load_spec(path: Path, args) -> sweep.SweepSpec:
-    spec = sweep.parse_config(path.read_text())
-    return _apply_overrides(spec, args)
-
-
 def _apply_overrides(spec: sweep.SweepSpec, args) -> sweep.SweepSpec:
-    if not spec.montecarlo_active:
-        return spec
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    if args.trials is not None:
-        spec = replace(spec, trials=args.trials)
-    return spec
+    # Checked as the config keys are; a sweep without Monte Carlo ignores them.
+    overrides = {key: sweep.check_mc_setting(key, value) for key in ("trials", "seed")
+                 if (value := getattr(args, key)) is not None}
+    return replace(spec, **overrides) if spec.montecarlo_active else spec
 
 
 def _cmd_point(args) -> int:
@@ -111,12 +100,12 @@ def _cmd_sweep(args) -> int:
     if args.out.is_dir():
         raise IsADirectoryError(f"--out {args.out} is a directory, not a file")
     if args.preset:
-        runs = [(label, _apply_overrides(spec, args)) for label, spec in sweep.preset_specs(args.preset)]
+        runs = sweep.preset_specs(args.preset)
     else:
-        runs = [("", _load_spec(args.config, args))]
+        runs = [("", sweep.parse_config(args.config.read_text()))]
     for label, spec in runs:
         path = _out_path(args.out, label)
-        rows = sweep.run_sweep(spec)
+        rows = sweep.run_sweep(_apply_overrides(spec, args))
         written = sweep.emit_report(rows, args.format, path)
         print(f"wrote {written} bytes to {path}")
     return 0
@@ -129,7 +118,7 @@ def _power_bracket(spec: sweep.SweepSpec, allowed) -> tuple:
 
 
 def _cmd_optimize(args) -> int:
-    spec = _load_spec(args.config, args)
+    spec = sweep.parse_config(args.config.read_text())
     lo_db, hi_db = _power_bracket(spec, ("relay-power-db",))
     out = {}
     for scheme in spec.schemes:
@@ -140,7 +129,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_switch(args) -> int:
-    spec = _load_spec(args.config, args)
+    spec = sweep.parse_config(args.config.read_text())
     lo_db, hi_db = _power_bracket(spec, ("source-power-db", "relay-power-db"))
     axis = "source-power" if spec.variable == "source-power-db" else "relay-power"
     crossings = decision.find_switching_point(spec.base, axis, lo_db, hi_db)

@@ -134,7 +134,13 @@ def _reduce(scheme: Scheme, g_sr, g_d, g_e, params: SystemParams, trials: int,
         trials=trials,
         seed=seed,
     )
-    frac = float(np.count_nonzero(c_e >= c_d)) / trials
+    if scheme is Scheme.AF and params.p_s > 0.0 and params.p_r > 0.0:
+        # af_snr grows with p_r*alpha*g, so this is c_e >= c_d without the
+        # ties that rounding makes once both rates reach the first-hop value.
+        intercepted = params.alpha_re * g_e >= params.alpha_rd * g_d
+    else:
+        intercepted = c_e >= c_d
+    frac = float(np.count_nonzero(intercepted)) / trials
     p0 = McEstimate(
         value=frac,
         std_error=math.sqrt(frac * (1.0 - frac) / trials),

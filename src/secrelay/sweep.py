@@ -32,7 +32,16 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-VARIABLES = ("source-power-db", "relay-power-db", "alpha-re", "n-r", "rho", "epsilon")
+# Swept variable -> (SystemParams field it sets, conversion of a grid value).
+_VARIABLE_FIELDS = {
+    "source-power-db": ("p_s", from_decibel),
+    "relay-power-db": ("p_r", from_decibel),
+    "alpha-re": ("alpha_re", float),
+    "n-r": ("n_r", int),
+    "rho": ("rho", float),
+    "epsilon": ("epsilon", float),
+}
+VARIABLES = tuple(_VARIABLE_FIELDS)
 MODES = ("analytic", "montecarlo", "both")
 
 
@@ -49,23 +58,6 @@ class SweepSpec:
     @property
     def montecarlo_active(self) -> bool:
         return self.mode in ("montecarlo", "both")
-
-
-@dataclass(frozen=True)
-class SchemeColumns:
-    c_d: float
-    c_soc_analytic: float
-    p0_analytic: float
-    c_soc_mc: float | None = None
-    c_soc_mc_stderr: float | None = None
-    p0_mc: float | None = None
-    p0_mc_stderr: float | None = None
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    value: float                       # swept-variable value for this row
-    schemes: dict                      # Scheme -> SchemeColumns
 
 
 class RowError(RuntimeError):
@@ -87,7 +79,7 @@ def _require_number(raw, key, *, integer=False):
 
 
 def _parse_grid(raw, variable: str):
-    integer = variable == "n-r"
+    integer = _VARIABLE_FIELDS[variable][1] is int
     if isinstance(raw, list):
         if not raw:
             raise ConfigError("grid", "grid must be nonempty")
@@ -122,6 +114,17 @@ def _parse_grid(raw, variable: str):
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("grid", "grid values must be strictly increasing")
     return tuple(values)
+
+
+def check_mc_setting(key: str, raw) -> int:
+    """The value of a ``trials`` or ``seed`` setting, checked; from a config or a flag."""
+    value = _require_number(raw, key, integer=True)
+    floor = 1 if key == "trials" else 0
+    if value < floor:
+        raise ConfigError(key, f"must be >= {floor}, got {value}")
+    if key == "seed" and value >= 2**64:
+        raise ConfigError(key, "must fit in 64 bits")
+    return value
 
 
 def parse_config(text: str) -> SweepSpec:
@@ -179,106 +182,59 @@ def parse_config(text: str) -> SweepSpec:
         raise ConfigError("mode", f"must be one of {MODES}, got {mode!r}")
 
     mc_active = mode in ("montecarlo", "both")
-    trials = seed = None
-    for key, integer_floor in (("trials", 1), ("seed", 0)):
+    settings = {}
+    for key in ("trials", "seed"):
         if mc_active:
             if key not in doc:
                 raise ConfigError(key, "required when mode includes montecarlo")
-            value = _require_number(doc[key], key, integer=True)
-            if value < integer_floor:
-                raise ConfigError(key, f"must be >= {integer_floor}, got {value}")
-            if key == "seed" and value >= 2**64:
-                raise ConfigError(key, "must fit in 64 bits")
-            if key == "trials":
-                trials = value
-            else:
-                seed = value
+            settings[key] = check_mc_setting(key, doc[key])
         elif key in doc:
             raise ConfigError(key, "only valid when mode includes montecarlo")
 
     return SweepSpec(
         base=base, variable=variable, grid=grid, schemes=schemes,
-        mode=mode, trials=trials, seed=seed,
+        mode=mode, **settings,
     )
 
 
-def _apply_variable(base: SystemParams, variable: str, value) -> SystemParams:
-    if variable == "source-power-db":
-        return replace(base, p_s=from_decibel(value))
-    if variable == "relay-power-db":
-        return replace(base, p_r=from_decibel(value))
-    if variable == "alpha-re":
-        return replace(base, alpha_re=value)
-    if variable == "n-r":
-        return replace(base, n_r=int(value))
-    if variable == "rho":
-        return replace(base, rho=value)
-    return replace(base, epsilon=value)
-
-
 def run_sweep(spec: SweepSpec):
-    """Evaluate every grid point, one SweepRow per point, in grid order.
+    """Evaluate every grid point, one row per point, in grid order.
 
-    Monte Carlo rows reseed with seed XOR row-index so rows are independent
-    while the whole sweep stays a pure function of (config, seed).  The
-    schemes of a row share its channel draws.  Closed forms run before
-    Monte Carlo, so a row whose closed form fails reports that error.
+    A row is a dict from report column name to value, in report order:
+    ``value``, then per scheme (AF before DF) its closed-form columns and,
+    when Monte Carlo is on, its Monte Carlo columns.  Monte Carlo rows
+    reseed with seed XOR row-index so rows are independent while the whole
+    sweep stays a pure function of (config, seed).  The schemes of a row
+    share its channel draws.  Closed forms run before Monte Carlo, so a row
+    whose closed form fails reports that error.
     """
+    field, convert = _VARIABLE_FIELDS[spec.variable]
     rows = []
     for index, value in enumerate(spec.grid):
         try:
-            p = validate(_apply_variable(spec.base, spec.variable, value))
-            columns = {}
-            for scheme in spec.schemes:
-                report = scheme_report(scheme, p)
-                columns[scheme] = SchemeColumns(
-                    c_d=report.c_d, c_soc_analytic=report.c_soc, p0_analytic=report.p0
-                )
+            p = validate(replace(spec.base, **{field: convert(value)}))
+            reports = {scheme: scheme_report(scheme, p) for scheme in spec.schemes}
+            estimates = {}
             if spec.montecarlo_active:
                 estimates = montecarlo.estimate_schemes(
                     spec.schemes, p, spec.trials, spec.seed ^ index
                 )
-                for scheme, est in estimates.items():
-                    columns[scheme] = replace(
-                        columns[scheme],
-                        c_soc_mc=est.c_soc.value,
-                        c_soc_mc_stderr=est.c_soc.std_error,
-                        p0_mc=est.p0.value,
-                        p0_mc_stderr=est.p0.std_error,
-                    )
         except (ParameterError, ValueError, ArithmeticError) as exc:
             raise RowError(index, spec.variable, value, exc) from exc
-        rows.append(SweepRow(value=float(value), schemes=columns))
+        row = {"value": float(value)}
+        for scheme, report in reports.items():
+            prefix = scheme.value.lower()
+            row[f"{prefix}_c_d"] = report.c_d
+            row[f"{prefix}_c_soc_analytic"] = report.c_soc
+            row[f"{prefix}_p0_analytic"] = report.p0
+            if scheme in estimates:
+                est = estimates[scheme]
+                row[f"{prefix}_c_soc_mc"] = est.c_soc.value
+                row[f"{prefix}_c_soc_mc_stderr"] = est.c_soc.std_error
+                row[f"{prefix}_p0_mc"] = est.p0.value
+                row[f"{prefix}_p0_mc_stderr"] = est.p0.std_error
+        rows.append(row)
     return rows
-
-
-_ANALYTIC_FIELDS = ("c_d", "c_soc_analytic", "p0_analytic")
-_MC_FIELDS = ("c_soc_mc", "c_soc_mc_stderr", "p0_mc", "p0_mc_stderr")
-
-
-def _columns(rows):
-    header = ["value"]
-    first = rows[0]
-    for scheme in (Scheme.AF, Scheme.DF):
-        if scheme not in first.schemes:
-            continue
-        fields = _ANALYTIC_FIELDS
-        if first.schemes[scheme].c_soc_mc is not None:
-            fields = _ANALYTIC_FIELDS + _MC_FIELDS
-        header.extend(f"{scheme.value.lower()}_{f}" for f in fields)
-    return header
-
-
-def _cells(row):
-    cells = [row.value]
-    for scheme in (Scheme.AF, Scheme.DF):
-        if scheme not in row.schemes:
-            continue
-        cols = row.schemes[scheme]
-        cells.extend(getattr(cols, f) for f in _ANALYTIC_FIELDS)
-        if cols.c_soc_mc is not None:
-            cells.extend(getattr(cols, f) for f in _MC_FIELDS)
-    return cells
 
 
 def _fmt(value: float) -> str:
@@ -286,24 +242,21 @@ def _fmt(value: float) -> str:
 
 
 def emit_report(rows, format: str, destination) -> int:
-    """Write rows as CSV or JSON; returns the byte count written.
+    """Write ``run_sweep`` rows as CSV or JSON; returns the byte count written.
 
+    The first row's keys are the CSV header; JSON keeps each row's keys.
     Output is byte-identical for identical inputs and is written atomically.
     """
     if not rows:
         raise ValueError("no rows to emit")
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    header = _columns(rows)
     if format == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(c) for c in _cells(row)) for row in rows)
+        lines = [",".join(rows[0])]
+        lines.extend(",".join(_fmt(c) for c in row.values()) for row in rows)
         payload = "\n".join(lines) + "\n"
     else:
-        objects = [
-            {name: float(_fmt(cell)) for name, cell in zip(header, _cells(row))}
-            for row in rows
-        ]
+        objects = [{name: float(_fmt(cell)) for name, cell in row.items()} for row in rows]
         payload = json.dumps(objects, indent=2) + "\n"
     data = payload.encode("utf-8")
 

@@ -11,6 +11,7 @@ import pytest
 
 import secrelay
 from secrelay.analytic import Scheme, scheme_report
+from secrelay.cli import main
 from secrelay.montecarlo import estimate
 from secrelay.params import SystemParams
 from secrelay.sweep import (
@@ -121,20 +122,22 @@ def test_single_point_sweep_equals_direct_module_calls():
     assert len(rows) == 1
     p = replace(SystemParams(), alpha_re=1.5)
     for scheme in (Scheme.AF, Scheme.DF):
-        cols = rows[0].schemes[scheme]
+        s = scheme.value.lower()
         report = scheme_report(scheme, p)
-        assert cols.c_d == report.c_d
-        assert cols.c_soc_analytic == report.c_soc
-        assert cols.p0_analytic == report.p0
+        assert rows[0][f"{s}_c_d"] == report.c_d
+        assert rows[0][f"{s}_c_soc_analytic"] == report.c_soc
+        assert rows[0][f"{s}_p0_analytic"] == report.p0
         est = estimate(scheme, p, 400, 11 ^ 0)
-        assert cols.c_soc_mc == est.c_soc.value
-        assert cols.p0_mc == est.p0.value
+        assert rows[0][f"{s}_c_soc_mc"] == est.c_soc.value
+        assert rows[0][f"{s}_c_soc_mc_stderr"] == est.c_soc.std_error
+        assert rows[0][f"{s}_p0_mc"] == est.p0.value
+        assert rows[0][f"{s}_p0_mc_stderr"] == est.p0.std_error
 
 
 def test_rows_follow_grid_order_without_mc_columns_in_analytic_mode():
     rows = run_sweep(parse_config(config()))
-    assert [r.value for r in rows] == [0.5, 1.0, 2.0]
-    assert all(r.schemes[Scheme.AF].c_soc_mc is None for r in rows)
+    assert [r["value"] for r in rows] == [0.5, 1.0, 2.0]
+    assert not any("af_c_soc_mc" in r for r in rows)
 
 
 def test_rows_reseed_with_seed_xor_row_index():
@@ -142,8 +145,8 @@ def test_rows_reseed_with_seed_xor_row_index():
     rows = run_sweep(parse_config(doc))
     p1 = replace(SystemParams(), alpha_re=1.0)
     est = estimate(Scheme.AF, p1, 200, 9 ^ 1)
-    assert rows[1].schemes[Scheme.AF].c_soc_mc == est.c_soc.value
-    assert rows[1].schemes[Scheme.AF].p0_mc == est.p0.value
+    assert rows[1]["af_c_soc_mc"] == est.c_soc.value
+    assert rows[1]["af_p0_mc"] == est.p0.value
 
 
 def test_row_errors_carry_row_context():
@@ -200,6 +203,21 @@ def test_json_report_mirrors_the_csv_columns(tmp_path):
     assert list(payload[0]) == ["value", "df_c_d", "df_c_soc_analytic", "df_p0_analytic"]
 
 
+@pytest.mark.parametrize("mode", ["analytic", "both"])
+@pytest.mark.parametrize("schemes", [["AF"], ["DF"], ["AF", "DF"]])
+def test_report_columns_follow_the_documented_order(tmp_path, mode, schemes):
+    mc = {"trials": 200, "seed": 1} if mode == "both" else {}
+    rows = run_sweep(parse_config(config(grid=[1.0], schemes=schemes, mode=mode, **mc)))
+    fields = ["c_d", "c_soc_analytic", "p0_analytic"]
+    if mode == "both":
+        fields += ["c_soc_mc", "c_soc_mc_stderr", "p0_mc", "p0_mc_stderr"]
+    want = ["value"] + [f"{s.lower()}_{f}" for s in schemes for f in fields]
+    emit_report(rows, "csv", tmp_path / "t.csv")
+    emit_report(rows, "json", tmp_path / "t.json")
+    assert (tmp_path / "t.csv").read_text().splitlines()[0] == ",".join(want)
+    assert list(json.loads((tmp_path / "t.json").read_text())[0]) == want
+
+
 def test_emit_rejects_empty_rows_and_bad_format(tmp_path):
     rows = run_sweep(parse_config(config()))
     with pytest.raises(ValueError):
@@ -237,8 +255,7 @@ def test_fig2_preset_center_cell_agrees_with_theory():
     _, spec = preset_specs("fig2")[1]  # eps = 0.01
     spec = replace(spec, grid=(1.0,))
     row = run_sweep(spec)[0]
-    cols = row.schemes[Scheme.AF]
-    assert cols.c_soc_mc == pytest.approx(cols.c_soc_analytic, rel=0.03)
+    assert row["af_c_soc_mc"] == pytest.approx(row["af_c_soc_analytic"], rel=0.03)
 
 
 def test_fig4_preset_crosses_zero(tmp_path):
@@ -247,10 +264,7 @@ def test_fig4_preset_crosses_zero(tmp_path):
     rows = run_sweep(replace(spec, mode="analytic", trials=None, seed=None))
     out = tmp_path / "fig4.csv"
     emit_report(rows, "csv", out)
-    gaps = [
-        r.schemes[Scheme.AF].c_soc_analytic - r.schemes[Scheme.DF].c_soc_analytic
-        for r in rows
-    ]
+    gaps = [r["af_c_soc_analytic"] - r["df_c_soc_analytic"] for r in rows]
     assert any(a * b < 0 for a, b in zip(gaps, gaps[1:]))
 
 
@@ -258,8 +272,8 @@ def test_fig5_preset_peaks_strictly_inside_the_grid():
     (_, spec), = preset_specs("fig5")
     assert spec.variable == "relay-power-db"
     rows = run_sweep(replace(spec, mode="analytic", trials=None, seed=None))
-    for scheme in (Scheme.AF, Scheme.DF):
-        soc = [r.schemes[scheme].c_soc_analytic for r in rows]
+    for scheme in ("af", "df"):
+        soc = [r[f"{scheme}_c_soc_analytic"] for r in rows]
         peak = soc.index(max(soc))
         assert 0 < peak < len(soc) - 1
 
@@ -294,6 +308,37 @@ def test_cli_seed_and_trials_overrides_change_the_output(tmp_path):
     assert run_cli("sweep", "--config", str(cfg), "--out", str(out2),
                    "--seed", "6").returncode == 0
     assert out1.read_bytes() != out2.read_bytes()
+
+
+@pytest.mark.parametrize("key,value", [("trials", 0), ("seed", -1), ("seed", 2**64)])
+def test_cli_overrides_are_checked_as_config_keys(tmp_path, capsys, key, value):
+    settings = {"trials": 300, "seed": 5}
+    as_key = tmp_path / "as_key.json"
+    as_key.write_text(config(mode="both", **dict(settings, **{key: value})))
+    as_flag = tmp_path / "as_flag.json"
+    as_flag.write_text(config(mode="both", **settings))
+    out = str(tmp_path / "x.csv")
+    assert main(["sweep", "--config", str(as_key), "--out", out]) == 2
+    key_error = capsys.readouterr().err
+    assert main(["sweep", "--config", str(as_flag), "--out", out, f"--{key}", str(value)]) == 2
+    assert capsys.readouterr().err == key_error
+    assert key_error.startswith(f"config error: {key}: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("point", "--seed"), ("optimize", "--trials"), ("switch", "--seed"),
+])
+def test_cli_commands_without_monte_carlo_reject_seed_and_trials(tmp_path, command, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config(variable="relay-power-db", grid=[0.0, 10.0]))
+    source = () if command == "point" else ("--config", str(cfg))
+    value = "5" if flag == "--trials" else "1"
+    result = run_cli(command, *source, flag, value)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"unrecognized arguments: {flag} {value}" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_cli_optimize_reports_the_interior_optimum(tmp_path):

@@ -251,6 +251,17 @@ def test_df_interception_frequency_at_strong_relay():
     )
 
 
+def test_af_interception_frequency_does_not_depend_on_relay_power():
+    # At huge relay power both AF rates round to the first-hop value; the
+    # count must not turn those ties into interceptions.
+    for p_r in (1e4, 1e8, 1e16, 1e100):
+        p = validate(SystemParams(p_s=10.0, p_r=p_r, n_r=4, epsilon=0.05))
+        assert estimate("AF", p, 100_000, 1).p0.value == 0.08252
+    for p_s, p_r in ((0.0, 10.0), (10.0, 0.0)):
+        p = validate(SystemParams(p_s=p_s, p_r=p_r, n_r=4, epsilon=0.05))
+        assert estimate("AF", p, 1000, 1).p0.value == 1.0
+
+
 def test_doubling_trials_is_stochastically_stable():
     a = estimate("AF", REFERENCE, 4_000, SEED)
     b = estimate("AF", REFERENCE, 8_000, SEED)
