@@ -6,9 +6,10 @@ Subcommands: ``point`` (closed forms at one operating point), ``sweep``
 3 numeric/domain error, 4 I/O error.
 """
 import argparse
+import functools
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import decision, sweep
@@ -21,7 +22,12 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first main() call and reused: parse_args keeps no state
+    # between calls (a fresh Namespace each time, usage and help written to
+    # the sys.stdout/sys.stderr of the call), and building costs more than
+    # a closed-form command.
     parser = argparse.ArgumentParser(
         prog="secrelay",
         description="Secrecy performance of large-antenna AF/DF relay links",
@@ -65,9 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(spec: sweep.SweepSpec, args) -> sweep.SweepSpec:
     # Checked as the config keys are; a sweep without Monte Carlo ignores them.
-    overrides = {key: sweep.check_mc_setting(key, value) for key in ("trials", "seed")
+    overrides = {key: value for key in ("trials", "seed")
                  if (value := getattr(args, key)) is not None}
-    return replace(spec, **overrides) if spec.montecarlo_active else spec
+    checked = sweep.with_mc_settings(spec, overrides)
+    return checked if spec.montecarlo_active else spec
 
 
 def _cmd_point(args) -> int:

@@ -23,6 +23,8 @@ from .analytic import Scheme, af_snr
 from .channel import draw_channels, link_statistics, trial_rng  # noqa: F401
 from .params import SystemParams
 
+MIN_TRIALS = 100  # the fewest trials that resolve an outage quantile
+
 
 class InsufficientSampleError(ValueError):
     """Too few trials to resolve the requested outage quantile."""
@@ -167,10 +169,10 @@ def estimate_schemes(schemes, params: SystemParams, trials: int, seed: int) -> d
         raise ValueError(f"trials must be a positive integer, got {trials}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if trials < 100 or params.epsilon * trials < 1.0:
+    if trials < MIN_TRIALS or params.epsilon * trials < 1.0:
         raise InsufficientSampleError(
             f"{trials} trials cannot resolve the epsilon={params.epsilon} quantile; "
-            "need trials >= 100 and epsilon*trials >= 1"
+            f"need trials >= {MIN_TRIALS} and epsilon*trials >= 1"
         )
     schemes = [Scheme(s) for s in schemes]
     if not schemes:

@@ -59,6 +59,11 @@ class SweepSpec:
     def montecarlo_active(self) -> bool:
         return self.mode in ("montecarlo", "both")
 
+    @property
+    def min_epsilon(self) -> float:
+        """The smallest outage probability any row uses."""
+        return self.grid[0] if self.variable == "epsilon" else self.base.epsilon
+
 
 class RowError(RuntimeError):
     """A row of a sweep failed; carries the row index and variable value."""
@@ -116,15 +121,27 @@ def _parse_grid(raw, variable: str):
     return tuple(values)
 
 
-def check_mc_setting(key: str, raw) -> int:
-    """The value of a ``trials`` or ``seed`` setting, checked; from a config or a flag."""
-    value = _require_number(raw, key, integer=True)
-    floor = 1 if key == "trials" else 0
-    if value < floor:
-        raise ConfigError(key, f"must be >= {floor}, got {value}")
-    if key == "seed" and value >= 2**64:
-        raise ConfigError(key, "must fit in 64 bits")
-    return value
+def with_mc_settings(spec: SweepSpec, settings: dict) -> SweepSpec:
+    """``spec`` with its ``trials``/``seed`` set from config keys or flags, checked.
+
+    The trials must resolve the outage quantile of every row, as
+    ``montecarlo.estimate_schemes`` asks: trials >= ``montecarlo.MIN_TRIALS``
+    and epsilon*trials >= 1 at the sweep's smallest epsilon.
+    """
+    checked = {}
+    for key, raw in settings.items():
+        value = _require_number(raw, key, integer=True)
+        epsilon = spec.min_epsilon
+        if key == "trials" and (value < montecarlo.MIN_TRIALS or epsilon * value < 1.0):
+            raise ConfigError(key, f"{value} trials cannot resolve the epsilon={epsilon} "
+                              f"quantile; need trials >= {montecarlo.MIN_TRIALS} "
+                              "and epsilon*trials >= 1")
+        if key == "seed" and value < 0:
+            raise ConfigError(key, f"must be >= 0, got {value}")
+        if key == "seed" and value >= 2**64:
+            raise ConfigError(key, "must fit in 64 bits")
+        checked[key] = value
+    return replace(spec, **checked)
 
 
 def parse_config(text: str) -> SweepSpec:
@@ -181,20 +198,13 @@ def parse_config(text: str) -> SweepSpec:
     if mode not in MODES:
         raise ConfigError("mode", f"must be one of {MODES}, got {mode!r}")
 
-    mc_active = mode in ("montecarlo", "both")
-    settings = {}
+    spec = SweepSpec(base=base, variable=variable, grid=grid, schemes=schemes, mode=mode)
     for key in ("trials", "seed"):
-        if mc_active:
-            if key not in doc:
-                raise ConfigError(key, "required when mode includes montecarlo")
-            settings[key] = check_mc_setting(key, doc[key])
-        elif key in doc:
+        if spec.montecarlo_active and key not in doc:
+            raise ConfigError(key, "required when mode includes montecarlo")
+        if not spec.montecarlo_active and key in doc:
             raise ConfigError(key, "only valid when mode includes montecarlo")
-
-    return SweepSpec(
-        base=base, variable=variable, grid=grid, schemes=schemes,
-        mode=mode, **settings,
-    )
+    return with_mc_settings(spec, {key: doc[key] for key in ("trials", "seed") if key in doc})
 
 
 def run_sweep(spec: SweepSpec):

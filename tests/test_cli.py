@@ -72,6 +72,8 @@ def test_db_keys_convert_at_the_boundary():
         ({"mode": "montecarlo", "trials": 1000}, "seed"),
         ({"mode": "both", "seed": 1}, "trials"),
         ({"trials": 1000}, "trials"),
+        ({"mode": "both", "trials": 50, "seed": 1}, "trials"),
+        ({"mode": "both", "epsilon": 0.001, "trials": 500, "seed": 1}, "trials"),
         ({"p_s": 100, "p_s_db": 20}, "p_s_db"),
         ({"schemes": ["AF", "ZF"]}, "schemes"),
         ({"schemes": []}, "schemes"),
@@ -310,7 +312,8 @@ def test_cli_seed_and_trials_overrides_change_the_output(tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
-@pytest.mark.parametrize("key,value", [("trials", 0), ("seed", -1), ("seed", 2**64)])
+@pytest.mark.parametrize("key,value", [("trials", 0), ("trials", 99), ("seed", -1),
+                                       ("seed", 2**64)])
 def test_cli_overrides_are_checked_as_config_keys(tmp_path, capsys, key, value):
     settings = {"trials": 300, "seed": 5}
     as_key = tmp_path / "as_key.json"
@@ -324,6 +327,28 @@ def test_cli_overrides_are_checked_as_config_keys(tmp_path, capsys, key, value):
     assert capsys.readouterr().err == key_error
     assert key_error.startswith(f"config error: {key}: ")
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_trials_must_resolve_the_smallest_epsilon_of_an_epsilon_sweep(tmp_path, capsys):
+    # The row at epsilon = 0.001 needs 1000 trials; 500 is a config error
+    # naming trials, from the config key and from the flag alike.
+    sweep_eps = {"variable": "epsilon", "grid": [0.001, 0.01], "mode": "both", "seed": 1}
+    as_key = tmp_path / "as_key.json"
+    as_key.write_text(config(**sweep_eps, trials=500))
+    as_flag = tmp_path / "as_flag.json"
+    as_flag.write_text(config(**sweep_eps, trials=1000))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(as_key), "--out", str(out)]) == 2
+    key_error = capsys.readouterr().err
+    assert main(["sweep", "--config", str(as_flag), "--out", str(out), "--trials", "500"]) == 2
+    assert capsys.readouterr().err == key_error
+    assert key_error == (
+        "config error: trials: 500 trials cannot resolve the epsilon=0.001 quantile; "
+        "need trials >= 100 and epsilon*trials >= 1\n"
+    )
+    assert not out.exists()
+    assert main(["sweep", "--config", str(as_flag), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -469,3 +494,56 @@ def test_cli_point_at_huge_relay_power_reports_the_exact_af_interception():
     result = run_cli("point", "--p-s-db", "10", "--p-r-db", "200")
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["AF"]["p0"] == math.exp(-90.0)
+
+
+def test_cli_main_reuses_its_parser_without_carrying_state(tmp_path, capsys, monkeypatch):
+    # One process runs an interleaved sequence through main(); each result
+    # must equal that of the same command in a fresh process.
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the terminal width
+    mc = tmp_path / "mc.json"
+    mc.write_text(config(grid=[1.0], mode="both", trials=200, seed=5))
+    optimize_cfg = tmp_path / "optimize.json"
+    optimize_cfg.write_text(config(variable="relay-power-db", grid=[-20.0, 80.0],
+                                   p_s_db=10, epsilon=0.05))
+    switch_cfg = tmp_path / "switch.json"
+    switch_cfg.write_text(config(variable="source-power-db", grid=[-10.0, 40.0],
+                                 p_r_db=10, epsilon=0.05))
+    bad = tmp_path / "bad.json"
+    bad.write_text(config(bogus=1))
+    flagged, unflagged = tmp_path / "flagged.csv", tmp_path / "unflagged.csv"
+    sequence = [
+        ("point", "--p-s-db=-5", "--p-r-db", "35", "--rho", "0.5", "--n-r", "16"),
+        ("point",),
+        ("sweep", "--config", str(mc), "--out", str(flagged), "--seed", "7", "--trials", "300"),
+        ("sweep", "--config", str(mc), "--out", str(unflagged)),
+        ("optimize", "--config", str(optimize_cfg)),
+        ("switch", "--config", str(switch_cfg)),
+        ("sweep", "--config", str(mc), "--out", str(flagged), "--format", "tsv"),
+        ("sweep", "--config", str(bad), "--out", str(unflagged)),
+    ]
+    in_process = []
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # how argparse rejects a command line
+            code = exc.code
+        in_process.append((code, *capsys.readouterr()))
+    reports = [path.read_bytes() for path in (flagged, unflagged)]
+
+    path = (str(Path(secrelay.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    for argv, got in zip(sequence, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "secrelay", *argv], env=env,
+                               capture_output=True, text=True)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert reports == [path.read_bytes() for path in (flagged, unflagged)]
+
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 0, 0, 2, 2]
+    assert in_process[0][1] != in_process[1][1]
+    assert in_process[6][2].startswith("usage: secrelay sweep")
+    assert in_process[7][2] == "config error: bogus: unknown key\n"
+    # The flag-free sweep runs the config's own seed and trials, not the last flags.
+    assert reports[0] != reports[1]
+    spec = parse_config(mc.read_text())
+    emit_report(run_sweep(spec), "csv", tmp_path / "own.csv")
+    assert reports[1] == (tmp_path / "own.csv").read_bytes()

@@ -1,10 +1,15 @@
-"""Property tests of the closed forms over the validated parameter domain."""
+"""Property tests of the closed forms over the validated parameter domain,
+and of the exit codes of ``secrelay point`` in and out of it."""
+import contextlib
+import io
+import json
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secrelay.analytic import Scheme, scheme_report
+from secrelay.cli import main
 from secrelay.params import SystemParams, validate
 
 
@@ -39,3 +44,44 @@ def test_scheme_report_is_finite_and_in_range_over_the_validated_domain(params, 
     assert 0.0 <= report.c_soc <= report.c_d
     assert math.isfinite(report.c_d)
     assert 0.0 <= report.p0 <= 1.0
+
+
+# Per kind of flag: values in the validated domain (-1e4 dB is a linear power
+# of 0.0), and values that validate rejects or whose linear power overflows.
+POWER_DB = (st.one_of(st.sampled_from((-1e4, 0.0, 1000.0)), st.floats(-1000.0, 1000.0)),
+            st.sampled_from((3000.0, 1e4, -math.inf, math.inf, math.nan)))
+POSITIVE = (log_uniform(-8, 8), st.sampled_from((0.0, -1.0, math.inf, math.nan)))
+RHO = (st.one_of(st.sampled_from((0.0, 1.0)), UNIT), st.sampled_from((-0.5, 1.5, math.nan)))
+N_R = (st.one_of(st.just(1), st.integers(1, 10**6)), st.sampled_from((0, -3)))
+EPSILON = (st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+           st.sampled_from((0.0, -0.1, 1.5, math.nan)))
+POINT_FLAGS = {"p-s-db": POWER_DB, "p-r-db": POWER_DB, "alpha-sr": POSITIVE,
+               "alpha-rd": POSITIVE, "alpha-re": POSITIVE, "rho": RHO, "n-r": N_R,
+               "w-hz": POSITIVE, "epsilon": EPSILON}
+
+
+@st.composite
+def point_argv(draw):
+    """Every flag of ``point``; either all in the domain or each maybe out of it."""
+    inside = draw(st.booleans())
+    flags = []
+    for name, (valid, invalid) in POINT_FLAGS.items():
+        values = valid if inside else st.one_of(valid, invalid)
+        # "--name=value" keeps argparse from reading a negative value as an option.
+        flags.append(f"--{name}={draw(values)!r}")
+    return ["point", *draw(st.permutations(flags))]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(point_argv())
+def test_cli_point_exits_0_with_figures_in_range_or_3_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        report = json.loads(out.getvalue())
+        for scheme in ("AF", "DF"):
+            assert 0.0 <= report[scheme]["c_soc"] <= report[scheme]["c_d"]
+            assert 0.0 <= report[scheme]["p0"] <= 1.0
