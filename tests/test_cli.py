@@ -72,8 +72,6 @@ def test_db_keys_convert_at_the_boundary():
         ({"mode": "montecarlo", "trials": 1000}, "seed"),
         ({"mode": "both", "seed": 1}, "trials"),
         ({"trials": 1000}, "trials"),
-        ({"mode": "both", "trials": 50, "seed": 1}, "trials"),
-        ({"mode": "both", "epsilon": 0.001, "trials": 500, "seed": 1}, "trials"),
         ({"p_s": 100, "p_s_db": 20}, "p_s_db"),
         ({"schemes": ["AF", "ZF"]}, "schemes"),
         ({"schemes": []}, "schemes"),
@@ -81,6 +79,8 @@ def test_db_keys_convert_at_the_boundary():
         ({"mode": "exact"}, "mode"),
         ({"rho": 1.5}, "rho"),
         ({"n_r": 12.5}, "n_r"),
+        ({"mode": "both", "trials": 50, "seed": 1}, "trials"),
+        ({"mode": "both", "epsilon": 0.001, "trials": 500, "seed": 1}, "trials"),
     ],
 )
 def test_config_errors_carry_the_field_path(overrides, field):
