@@ -121,6 +121,11 @@ def _cmd_sweep(args) -> int:
 def _power_bracket(spec: sweep.SweepSpec, allowed) -> tuple:
     if spec.variable not in allowed:
         raise ConfigError("variable", f"must be one of {allowed}, got {spec.variable!r}")
+    if spec.montecarlo_active:
+        raise ConfigError("mode", f"must be 'analytic': the search runs no Monte Carlo, "
+                                  f"got {spec.mode!r}")
+    if len(spec.grid) < 2:
+        raise ConfigError("grid", f"needs two points to bracket the search, got {len(spec.grid)}")
     return float(spec.grid[0]), float(spec.grid[-1])
 
 

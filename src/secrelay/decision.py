@@ -99,57 +99,53 @@ def compare_schemes(params: SystemParams, criterion=Criterion.CAPACITY) -> Compa
     )
 
 
-def find_switching_point(
-    params_template: SystemParams,
-    sweep_var,
-    lo_db: float,
-    hi_db: float,
-    *,
-    grid_step_db: float = GRID_STEP_DB,
-):
-    """All sign changes of the AF-DF capacity gap along a power axis, in dB.
+def find_switching_point(params_template: SystemParams, sweep_var, lo_db: float, hi_db: float):
+    """The AF/DF switching point along a power axis, in dB, as a list.
 
-    The gap is scanned on a uniform dB grid and each sign change is refined
-    by bisection to DB_TOL; an identically-zero gap yields no crossings.
+    With A = p_s*alpha_sr*n_r, a = rho*n_r*alpha_rd, b = alpha_re*ln(1/eps)
+    and P = p_r, AF has a positive capacity only when a > b.  Then the
+    AF-DF gap is negative on the branch aP <= A and rises through zero
+    exactly once on aP > A: at a*b*P^2 + b*P = A*(A + 1) on the relay
+    axis, and at A^2 + A = b*P*(a*P + 1) on the source axis.  With a <= b,
+    zero fixed power or eps = 1 (b = 0) there is no crossing.  The root is
+    reported only strictly inside the bracket.
 
     Raises:
-        ArithmeticError: a capacity is not finite at a scanned point.
+        ArithmeticError: a capacity at a bracket end, or the root, is not finite.
     """
-    field = "p_s" if PowerAxis(sweep_var) is PowerAxis.SOURCE else "p_r"
+    source = PowerAxis(sweep_var) is PowerAxis.SOURCE
     if not lo_db < hi_db:
         raise ValueError(f"invalid bracket: need lo_db < hi_db, got [{lo_db}, {hi_db}]")
-
-    def f(db):
+    field = "p_s" if source else "p_r"
+    # Overflow grows with the swept power, so the bracket ends bound it.
+    for db in (lo_db, hi_db):
         power = {field: from_decibel(db)}
-        return (_finite(secrecy_outage_capacity_af(params_template, **power), "AF c_soc", db)
-                - _finite(secrecy_outage_capacity_df(params_template, **power), "DF c_soc", db))
+        _finite(secrecy_outage_capacity_af(params_template, **power), "AF c_soc", db)
+        _finite(secrecy_outage_capacity_df(params_template, **power), "DF c_soc", db)
 
-    grid = _db_grid(lo_db, hi_db, grid_step_db)
-    values = [f(x) for x in grid]
-    crossings = []
-    for i in range(len(grid) - 1):
-        v0, v1 = values[i], values[i + 1]
-        if v0 == 0.0:
-            # An exact zero is a crossing only if the sign flips across it.
-            if 0 < i and values[i - 1] * v1 < 0.0:
-                crossings.append(grid[i])
-            continue
-        if v0 * v1 < 0.0:
-            crossings.append(_bisect(f, grid[i], grid[i + 1], v0))
-    return crossings
-
-
-def _bisect(f, lo, hi, f_lo):
-    while hi - lo > DB_TOL:
-        mid = 0.5 * (lo + hi)
-        v = f(mid)
-        if v == 0.0:
-            return mid
-        if (v > 0.0) == (f_lo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    p = params_template
+    a = p.rho * p.n_r * p.alpha_rd
+    b = -p.alpha_re * math.log(p.epsilon)
+    if not a > b > 0.0:
+        return []
+    # Both roots solve q^2*x^2 + lin*x = u^2 for x > 0:
+    #   relay axis:  x = P, q = sqrt(a*b), lin = b, u^2 = A*(A + 1);
+    #   source axis: x = A, q = lin = 1, u^2 = b*P*(a*P + 1).
+    # The squares can overflow where the root does not, so it is formed
+    # from q and u.
+    if source:
+        u = math.sqrt(b * p.p_r) * math.sqrt(a * p.p_r + 1.0)
+        q, lin, per_power = 1.0, 1.0, p.alpha_sr * p.n_r
+    else:
+        big_a = p.p_s * p.alpha_sr * p.n_r
+        u = math.sqrt(big_a) * math.sqrt(big_a + 1.0)
+        q, lin, per_power = math.sqrt(a) * math.sqrt(b), b, 1.0
+    if u == 0.0:  # zero fixed power, or products of it that underflow
+        return []
+    root = 2.0 * u / (lin / u + math.hypot(lin / u, 2.0 * q)) / per_power
+    root = _finite(root, "switching point")
+    root_db = 10.0 * math.log10(root) if root > 0.0 else -math.inf
+    return [root_db] if lo_db < root_db < hi_db else []
 
 
 def optimal_relay_power(

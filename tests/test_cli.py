@@ -366,6 +366,29 @@ def test_cli_commands_without_monte_carlo_reject_seed_and_trials(tmp_path, comma
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("command", ["optimize", "switch"])
+def test_cli_decision_on_a_one_point_grid_is_a_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config(variable="relay-power-db", grid=[10.0], p_s_db=10, epsilon=0.05))
+    assert main([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: grid: needs two points to bracket the search, got 1\n"
+
+
+@pytest.mark.parametrize("command", ["optimize", "switch"])
+@pytest.mark.parametrize("mode", ["montecarlo", "both"])
+def test_cli_decision_rejects_a_monte_carlo_mode(tmp_path, capsys, command, mode):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config(variable="relay-power-db", grid=[-10.0, 40.0], p_s_db=10,
+                          epsilon=0.05, mode=mode, trials=1000, seed=1))
+    assert main([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: mode: must be 'analytic'")
+    assert repr(mode) in err
+
+
 def test_cli_optimize_reports_the_interior_optimum(tmp_path):
     cfg = tmp_path / "opt.json"
     cfg.write_text(json.dumps({

@@ -73,24 +73,40 @@ def test_switching_point_exists_on_the_source_power_axis():
 
 
 def test_switching_point_flips_sign_within_tolerance():
+    # Checked on the capacities themselves, not on the root's formula.
     from secrelay.analytic import secrecy_outage_capacity_df
 
-    def gap(db):
-        p = replace(SWITCH_TEMPLATE, p_s=from_decibel(db))
-        return secrecy_outage_capacity_af(p) - secrecy_outage_capacity_df(p)
+    for axis, field, fixed in (
+        ("source-power", "p_s", SWITCH_TEMPLATE),
+        ("relay-power", "p_r", replace(SWITCH_TEMPLATE, p_s=from_decibel(20.0))),
+    ):
+        def gap(db):
+            p = replace(fixed, **{field: from_decibel(db)})
+            return secrecy_outage_capacity_af(p) - secrecy_outage_capacity_df(p)
 
-    for x in find_switching_point(SWITCH_TEMPLATE, "source-power", -10.0, 40.0):
-        assert gap(x - 1e-2) * gap(x + 1e-2) < 0.0
+        crossings = find_switching_point(fixed, axis, -10.0, 40.0)
+        assert len(crossings) == 1, axis
+        for x in crossings:
+            assert gap(x - DB_TOL) * gap(x + DB_TOL) < 0.0, (axis, x)
 
 
-def test_switching_point_is_stable_under_grid_refinement():
-    coarse = find_switching_point(SWITCH_TEMPLATE, "source-power", -10.0, 40.0,
-                                  grid_step_db=0.1)
-    fine = find_switching_point(SWITCH_TEMPLATE, "source-power", -10.0, 40.0,
-                                grid_step_db=0.05)
-    assert len(coarse) == len(fine)
-    for a, b in zip(coarse, fine):
-        assert abs(a - b) <= 1e-2
+@pytest.mark.parametrize("p_s_db,lo_db,hi_db", [(150.0, -10.0, 80.0), (2000.0, -10.0, 80.0),
+                                               (10.0, -200.0, 10.0)])
+def test_rounding_noise_in_the_gap_is_no_crossing(p_s_db, lo_db, hi_db):
+    # Rounding noise flips the sign of the AF-DF gap across these brackets,
+    # but the relay-axis root lies above each (17.85 dB at p_s 10 dB).
+    template = replace(REFERENCE, p_s=from_decibel(p_s_db), epsilon=0.05)
+    assert find_switching_point(template, "relay-power", lo_db, hi_db) == []
+
+
+@pytest.mark.parametrize("axis,template", [
+    ("relay-power", replace(SWITCH_TEMPLATE, p_s=0.0)),
+    ("source-power", replace(SWITCH_TEMPLATE, p_r=0.0)),
+    ("source-power", replace(SWITCH_TEMPLATE, epsilon=1.0)),
+    ("relay-power", replace(SWITCH_TEMPLATE, epsilon=1.0)),
+], ids=["zero-p_s", "zero-p_r", "unit-eps-source", "unit-eps-relay"])
+def test_zero_fixed_power_or_unit_epsilon_has_no_switching_point(axis, template):
+    assert find_switching_point(template, axis, -10.0, 40.0) == []
 
 
 def test_identical_schemes_have_no_switching_point():

@@ -1,5 +1,6 @@
-"""Property tests of the closed forms over the validated parameter domain,
-and of the exit codes of ``secrelay point`` in and out of it."""
+"""Property tests of the closed forms and the AF/DF switching point over the
+validated parameter domain, and of the exit codes of ``secrelay point`` in
+and out of it."""
 import contextlib
 import io
 import json
@@ -8,9 +9,15 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secrelay.analytic import Scheme, scheme_report
+from secrelay.analytic import (
+    Scheme,
+    scheme_report,
+    secrecy_outage_capacity_af,
+    secrecy_outage_capacity_df,
+)
 from secrelay.cli import main
-from secrelay.params import SystemParams, validate
+from secrelay.decision import PowerAxis, find_switching_point
+from secrelay.params import SystemParams, from_decibel, validate
 
 
 def log_uniform(lo_exp, hi_exp):
@@ -44,6 +51,32 @@ def test_scheme_report_is_finite_and_in_range_over_the_validated_domain(params, 
     assert 0.0 <= report.c_soc <= report.c_d
     assert math.isfinite(report.c_d)
     assert 0.0 <= report.p0 <= 1.0
+
+
+def _capacities_finite_at(params, field, db):
+    power = {field: from_decibel(db)}
+    try:
+        return all(math.isfinite(soc(params, **power))
+                   for soc in (secrecy_outage_capacity_af, secrecy_outage_capacity_df))
+    except ArithmeticError:
+        return False
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(valid_params(), st.sampled_from(PowerAxis),
+       st.lists(st.floats(-1000.0, 1000.0), min_size=2, max_size=2, unique=True).map(sorted))
+def test_switching_point_is_one_root_strictly_inside_the_bracket(params, axis, bracket):
+    lo_db, hi_db = bracket
+    try:
+        crossings = find_switching_point(params, axis, lo_db, hi_db)
+    except ArithmeticError:
+        # Only overflow at a bracket end excuses an error, not a ZeroDivisionError.
+        field = "p_s" if axis is PowerAxis.SOURCE else "p_r"
+        assert not all(_capacities_finite_at(params, field, db) for db in bracket)
+        return
+    assert len(crossings) <= 1
+    for x in crossings:
+        assert math.isfinite(x) and lo_db < x < hi_db
 
 
 # Per kind of flag: values in the validated domain (-1e4 dB is a linear power
