@@ -128,11 +128,8 @@ def find_switching_point(params_template: SystemParams, sweep_var, lo_db: float,
     b = -p.alpha_re * math.log(p.epsilon)
     if not a > b > 0.0:
         return []
-    # Both roots solve q^2*x^2 + lin*x = u^2 for x > 0:
-    #   relay axis:  x = P, q = sqrt(a*b), lin = b, u^2 = A*(A + 1);
-    #   source axis: x = A, q = lin = 1, u^2 = b*P*(a*P + 1).
-    # The squares can overflow where the root does not, so it is formed
-    # from q and u.
+    # Both equations read q^2*x^2 + lin*x = u^2 with x = P or A.  The squares
+    # can overflow where the root does not, so it is formed from q and u.
     if source:
         u = math.sqrt(b * p.p_r) * math.sqrt(a * p.p_r + 1.0)
         q, lin, per_power = 1.0, 1.0, p.alpha_sr * p.n_r

@@ -6,7 +6,7 @@ import io
 import json
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secrelay.analytic import (
@@ -63,6 +63,9 @@ def _capacities_finite_at(params, field, db):
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+# Overflow needs powers beyond the drawn ones; this example reaches it.
+@example(SystemParams(p_r=from_decibel(2000.0), epsilon=0.05), PowerAxis.SOURCE,
+         [1990.0, 2010.0])
 @given(valid_params(), st.sampled_from(PowerAxis),
        st.lists(st.floats(-1000.0, 1000.0), min_size=2, max_size=2, unique=True).map(sorted))
 def test_switching_point_is_one_root_strictly_inside_the_bracket(params, axis, bracket):
