@@ -123,8 +123,7 @@ def interception_probability_df(params: SystemParams) -> float:
     if params.p_r == 0.0:
         return 0.0
     snr_d = _legit_snr_df(params.p_s, params.p_r, params)
-    p = math.exp(-snr_d / (params.p_r * params.alpha_re))
-    return min(max(p, 0.0), 1.0)
+    return math.exp(-snr_d / (params.p_r * params.alpha_re))
 
 
 def eavesdropper_cdf_af(x: float, params: SystemParams) -> float:
@@ -142,20 +141,24 @@ def eavesdropper_cdf_af(x: float, params: SystemParams) -> float:
 def asymptotic_limit(params: SystemParams, regime, scheme) -> AsymptoticLimit:
     """High-power limits of (secrecy outage capacity, interception probability).
 
-    Large relay power collapses the secrecy outage capacity for both schemes,
-    with interception probability 0 (AF) or 1 (DF).  Large source power gives
-    a power-free ceiling for AF and a relay-power-dependent one for DF, both
-    with the same interception probability.
+    Each limit is that of the closed forms of this module.  AF's interception
+    probability is the power-free ``exp(-alpha_rd*rho*n_r/alpha_re)`` in both
+    regimes.  Large relay power collapses the secrecy outage capacity of both
+    schemes, and DF's interception probability tends to 1.  Large source
+    power gives DF a relay-power-dependent ceiling with AF's interception
+    probability, and AF a power-free ceiling: the double limit, ``p_s`` and
+    then ``p_r`` to infinity (at a finite ``p_r`` the AF capacity tends to a
+    ``p_r``-dependent value).  Acceptance criterion 4 pins that ceiling.
     """
     regime = Regime(regime)
     scheme = Scheme(scheme)
+    rho_n = params.rho * params.n_r
+    p0 = math.exp(-params.alpha_rd * rho_n / params.alpha_re)
     if regime is Regime.LARGE_RELAY_POWER:
-        return AsymptoticLimit(0.0, 0.0 if scheme is Scheme.AF else 1.0)
+        return AsymptoticLimit(0.0, p0 if scheme is Scheme.AF else 1.0)
     if params.epsilon == 1.0:
         raise ValueError("epsilon = 1 leaves the large-source-power limit undefined")
     ln_eps = math.log(params.epsilon)
-    rho_n = params.rho * params.n_r
-    p0 = min(math.exp(-params.alpha_rd * rho_n / params.alpha_re), 1.0)
     if scheme is Scheme.AF:
         arg = -params.alpha_rd * rho_n / (params.alpha_re * ln_eps)
         # rho = 0 collapses the ceiling entirely (log argument 0).

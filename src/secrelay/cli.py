@@ -9,12 +9,12 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import decision, sweep
 from .analytic import Scheme, scheme_report
-from .params import SystemParams, from_decibel, validate
+from .params import DB_FIELDS, SystemParams, from_decibel, validate
 from .sweep import ConfigError
 
 EXIT_CONFIG = 2
@@ -36,15 +36,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     point = sub.add_parser("point",
                            help="closed-form report for both schemes at one operating point")
-    point.add_argument("--p-s-db", type=float, default=20.0, help="source power, dB")
-    point.add_argument("--p-r-db", type=float, default=20.0, help="relay power, dB")
-    point.add_argument("--alpha-sr", type=float, default=1.0)
-    point.add_argument("--alpha-rd", type=float, default=1.0)
-    point.add_argument("--alpha-re", type=float, default=1.0)
-    point.add_argument("--rho", type=float, default=0.9)
-    point.add_argument("--n-r", type=int, default=100)
-    point.add_argument("--w-hz", type=float, default=10_000.0)
-    point.add_argument("--epsilon", type=float, default=0.01)
+    # One flag per SystemParams field, in field order; an omitted flag keeps
+    # the field's default.
+    for field in fields(SystemParams):
+        what = DB_FIELDS.get(field.name)
+        flag = field.name.replace("_", "-") + ("-db" if what else "")
+        point.add_argument(f"--{flag}", dest=field.name, metavar=flag.upper().replace("-", "_"),
+                           type=field.type, default=argparse.SUPPRESS,
+                           help=f"{what}, dB" if what else None)
 
     sweep_cmd = sub.add_parser("sweep", help="run a parameter sweep and write a table")
     source = sweep_cmd.add_mutually_exclusive_group(required=True)
@@ -69,26 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(spec: sweep.SweepSpec, args) -> sweep.SweepSpec:
-    # Checked as the config keys are; a sweep without Monte Carlo ignores them.
-    overrides = {key: value for key in ("trials", "seed")
-                 if (value := getattr(args, key)) is not None}
-    checked = sweep.with_mc_settings(spec, overrides)
-    return checked if spec.montecarlo_active else spec
-
-
 def _cmd_point(args) -> int:
-    params = validate(SystemParams(
-        p_s=from_decibel(args.p_s_db),
-        p_r=from_decibel(args.p_r_db),
-        alpha_sr=args.alpha_sr,
-        alpha_rd=args.alpha_rd,
-        alpha_re=args.alpha_re,
-        rho=args.rho,
-        n_r=args.n_r,
-        w_hz=args.w_hz,
-        epsilon=args.epsilon,
-    ))
+    given = vars(args)
+    params = validate(SystemParams(**{
+        f.name: from_decibel(given[f.name]) if f.name in DB_FIELDS else given[f.name]
+        for f in fields(SystemParams) if f.name in given
+    }))
     out = {}
     for scheme in (Scheme.AF, Scheme.DF):
         report = scheme_report(scheme, params)
@@ -110,9 +95,11 @@ def _cmd_sweep(args) -> int:
         runs = sweep.preset_specs(args.preset)
     else:
         runs = [("", sweep.parse_config(args.config.read_text()))]
+    overrides = {key: value for key in ("trials", "seed")
+                 if (value := getattr(args, key)) is not None}
     for label, spec in runs:
         path = _out_path(args.out, label)
-        rows = sweep.run_sweep(_apply_overrides(spec, args))
+        rows = sweep.run_sweep(sweep.with_mc_settings(spec, overrides))
         written = sweep.emit_report(rows, args.format, path)
         print(f"wrote {written} bytes to {path}")
     return 0

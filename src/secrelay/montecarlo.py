@@ -30,6 +30,18 @@ class InsufficientSampleError(ValueError):
     """Too few trials to resolve the requested outage quantile."""
 
 
+def check_trials(trials: int, epsilon: float) -> None:
+    """Raise InsufficientSampleError unless ``trials`` resolve the epsilon-quantile.
+
+    That needs trials >= MIN_TRIALS and epsilon*trials >= 1, so also trials > 0.
+    """
+    if trials < MIN_TRIALS or epsilon * trials < 1.0:
+        raise InsufficientSampleError(
+            f"{trials} trials cannot resolve the epsilon={epsilon} quantile; "
+            f"need trials >= {MIN_TRIALS} and epsilon*trials >= 1"
+        )
+
+
 @dataclass(frozen=True)
 class McEstimate:
     value: float      # bit/s for capacities, probability for interception
@@ -160,20 +172,12 @@ def estimate_schemes(schemes, params: SystemParams, trials: int, seed: int) -> d
     Returns a dict from Scheme to SecrecyEstimates, in the order given.
 
     Raises:
-        ValueError: no schemes, an unknown scheme, a non-positive trial
-            count or an out-of-range seed.
-        InsufficientSampleError: trials < 100 or epsilon*trials < 1.
+        InsufficientSampleError: ``check_trials`` rejects the trial count.
+        ValueError: no schemes, an unknown scheme or an out-of-range seed
+            (checked by ``trial_rng``).
         ArithmeticError: a scheme's per-draw rates are not finite.
     """
-    if trials <= 0:
-        raise ValueError(f"trials must be a positive integer, got {trials}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if trials < MIN_TRIALS or params.epsilon * trials < 1.0:
-        raise InsufficientSampleError(
-            f"{trials} trials cannot resolve the epsilon={params.epsilon} quantile; "
-            f"need trials >= {MIN_TRIALS} and epsilon*trials >= 1"
-        )
+    check_trials(trials, params.epsilon)
     schemes = [Scheme(s) for s in schemes]
     if not schemes:
         raise ValueError("no schemes to estimate")
@@ -190,8 +194,8 @@ def estimate(scheme, params: SystemParams, trials: int, seed: int) -> SecrecyEst
     (ties count as interception).
 
     Raises:
-        ValueError: non-positive trial count or out-of-range seed.
-        InsufficientSampleError: trials < 100 or epsilon*trials < 1.
+        InsufficientSampleError: ``check_trials`` rejects the trial count.
+        ValueError: an unknown scheme or an out-of-range seed.
         ArithmeticError: the per-draw rates are not finite.
     """
     (result,) = estimate_schemes((scheme,), params, trials, seed).values()

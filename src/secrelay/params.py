@@ -33,6 +33,11 @@ class SystemParams:
     epsilon: float = 0.01   # target secrecy outage probability, in (0, 1]
 
 
+# Fields given in dB at the CLI and config boundary (flag ``--p-s-db``, key
+# ``p_s_db``), with the quantity each one is.
+DB_FIELDS = {"p_s": "source power", "p_r": "relay power"}
+
+
 def from_decibel(snr_db: float) -> float:
     """Convert a dB power value to linear scale: 10**(snr_db/10)."""
     if not math.isfinite(snr_db):

@@ -5,22 +5,20 @@ and are converted at parse time, so everything downstream is linear.  Report
 emission is deterministic byte-for-byte and atomic (temp file + rename).
 """
 import json
-import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import montecarlo
 from .analytic import Scheme, scheme_report
-from .params import ParameterError, SystemParams, from_decibel, validate
+from .params import DB_FIELDS, ParameterError, SystemParams, from_decibel, validate
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 10_000
 MAX_GRID_POINTS = 1_000_000  # cap on a {lo, hi, step} range, checked before expansion
+_FLOAT_OVERFLOW = 2**1024 - 2**970  # the smallest integer that float() overflows on
 
-_PARAM_KEYS = ("alpha_sr", "alpha_rd", "alpha_re", "rho", "n_r", "w_hz", "epsilon")
-_POWER_KEYS = ("p_s", "p_r")
 _SWEEP_KEYS = ("variable", "grid", "schemes", "mode", "trials", "seed")
 
 
@@ -76,10 +74,10 @@ class RowError(RuntimeError):
 def _require_number(raw, key, *, integer=False):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(key, f"expected a number, got {raw!r}")
+    if not abs(raw) < _FLOAT_OVERFLOW:  # NaN, inf, or an integer too large for a float
+        raise ConfigError(key, f"expected a finite value, got {raw!r}")
     if integer and raw != int(raw):
         raise ConfigError(key, f"expected an integer, got {raw!r}")
-    if not math.isfinite(raw):
-        raise ConfigError(key, f"expected a finite value, got {raw!r}")
     return int(raw) if integer else float(raw)
 
 
@@ -124,24 +122,24 @@ def _parse_grid(raw, variable: str):
 def with_mc_settings(spec: SweepSpec, settings: dict) -> SweepSpec:
     """``spec`` with its ``trials``/``seed`` set from config keys or flags, checked.
 
-    The trials must resolve the outage quantile of every row, as
-    ``montecarlo.estimate_schemes`` asks: trials >= ``montecarlo.MIN_TRIALS``
-    and epsilon*trials >= 1 at the sweep's smallest epsilon.
+    The trials must resolve the outage quantile of every row
+    (``montecarlo.check_trials`` at the sweep's smallest epsilon).  A sweep
+    without Monte Carlo checks the settings, then ignores them.
     """
     checked = {}
     for key, raw in settings.items():
         value = _require_number(raw, key, integer=True)
-        epsilon = spec.min_epsilon
-        if key == "trials" and (value < montecarlo.MIN_TRIALS or epsilon * value < 1.0):
-            raise ConfigError(key, f"{value} trials cannot resolve the epsilon={epsilon} "
-                              f"quantile; need trials >= {montecarlo.MIN_TRIALS} "
-                              "and epsilon*trials >= 1")
+        if key == "trials":
+            try:
+                montecarlo.check_trials(value, spec.min_epsilon)
+            except montecarlo.InsufficientSampleError as exc:
+                raise ConfigError(key, str(exc)) from None
         if key == "seed" and value < 0:
             raise ConfigError(key, f"must be >= 0, got {value}")
         if key == "seed" and value >= 2**64:
             raise ConfigError(key, "must fit in 64 bits")
         checked[key] = value
-    return replace(spec, **checked)
+    return replace(spec, **checked) if spec.montecarlo_active else spec
 
 
 def parse_config(text: str) -> SweepSpec:
@@ -153,26 +151,24 @@ def parse_config(text: str) -> SweepSpec:
     if not isinstance(doc, dict):
         raise ConfigError("<document>", "top level must be a JSON object")
 
-    known = set(_PARAM_KEYS) | set(_POWER_KEYS) | {k + "_db" for k in _POWER_KEYS}
-    known |= set(_SWEEP_KEYS)
+    # One key per SystemParams field, and a "_db" form of each DB_FIELDS one.
+    param_fields = fields(SystemParams)
+    known = {f.name for f in param_fields} | {k + "_db" for k in DB_FIELDS} | set(_SWEEP_KEYS)
     for key in doc:
         if key not in known:
             raise ConfigError(key, "unknown key")
 
-    fields = {}
-    for key in _POWER_KEYS:
-        db_key = key + "_db"
-        if key in doc and db_key in doc:
-            raise ConfigError(db_key, f"conflicts with {key}; give one or the other")
-        if key in doc:
-            fields[key] = _require_number(doc[key], key)
-        elif db_key in doc:
-            fields[key] = from_decibel(_require_number(doc[db_key], db_key))
-    for key in _PARAM_KEYS:
-        if key in doc:
-            fields[key] = _require_number(doc[key], key, integer=(key == "n_r"))
+    values = {}
+    for field in param_fields:
+        key, db_key = field.name, field.name + "_db"
+        if key in DB_FIELDS and db_key in doc:
+            if key in doc:
+                raise ConfigError(db_key, f"conflicts with {key}; give one or the other")
+            values[key] = from_decibel(_require_number(doc[db_key], db_key))
+        elif key in doc:
+            values[key] = _require_number(doc[key], key, integer=field.type is int)
     try:
-        base = validate(SystemParams(**fields))
+        base = validate(SystemParams(**values))
     except ParameterError as exc:
         names = ", ".join(e.split(" ", 1)[0] for e in exc.errors)
         raise ConfigError(names, str(exc)) from None

@@ -200,7 +200,10 @@ def test_asymptotic_limits_match_the_high_power_table():
     df_ps = asymptotic_limit(replace(p, p_r=1e3), "large-source-power", "DF")
     assert df_ps.c_soc_limit == pytest.approx(DF_LIMIT_PR30_EPS05, rel=1e-12)
     assert df_ps.p0_limit == pytest.approx(P0_20DB, rel=1e-9)
-    assert asymptotic_limit(p, Regime.LARGE_RELAY_POWER, Scheme.AF) == (0.0, 0.0)
+    # AF's interception probability is power-free, so its limit is the closed form's value.
+    af_pr = asymptotic_limit(p, Regime.LARGE_RELAY_POWER, Scheme.AF)
+    assert af_pr == (0.0, interception_probability_af(replace(p, p_r=1e300)))
+    assert af_pr.p0_limit == pytest.approx(P0_20DB, rel=1e-9)
     assert asymptotic_limit(p, Regime.LARGE_RELAY_POWER, Scheme.DF) == (0.0, 1.0)
 
 

@@ -81,6 +81,11 @@ def test_db_keys_convert_at_the_boundary():
         ({"n_r": 12.5}, "n_r"),
         ({"mode": "both", "trials": 50, "seed": 1}, "trials"),
         ({"mode": "both", "epsilon": 0.001, "trials": 500, "seed": 1}, "trials"),
+        # Integers beyond the float range are not finite numbers.
+        ({"n_r": 10**400}, "n_r"),
+        ({"mode": "both", "trials": 10**400, "seed": 1}, "trials"),
+        ({"mode": "both", "trials": 1000, "seed": 10**400}, "seed"),
+        ({"variable": "n-r", "grid": [1, 10**400]}, "grid"),
     ],
 )
 def test_config_errors_carry_the_field_path(overrides, field):
@@ -290,6 +295,24 @@ def test_cli_point_reports_both_schemes():
     assert payload["DF"]["c_soc"] == pytest.approx(42856.29538145964, rel=1e-9)
 
 
+def test_cli_point_without_flags_reports_the_dataclass_defaults(capsys):
+    assert main(["point"]) == 0
+    expected = {}
+    for scheme in (Scheme.AF, Scheme.DF):
+        report = scheme_report(scheme, SystemParams())
+        expected[scheme.value] = {"c_d": report.c_d, "c_soc": report.c_soc, "p0": report.p0}
+    assert json.loads(capsys.readouterr().out) == expected
+
+
+def test_reference_catalogue_commands_all_pass():
+    # A subprocess: the script imports from the tree it checks and stops
+    # writing bytecode for the rest of its process.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "check_catalogue.py"
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.endswith(" 0 failing\n")
+
+
 def test_cli_sweep_is_byte_deterministic_across_processes(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(config(mode="both", trials=300, seed=5))
@@ -313,7 +336,8 @@ def test_cli_seed_and_trials_overrides_change_the_output(tmp_path):
 
 
 @pytest.mark.parametrize("key,value", [("trials", 0), ("trials", 99), ("seed", -1),
-                                       ("seed", 2**64)])
+                                       ("seed", 2**64),
+                                       pytest.param("seed", 10**400, id="seed-10**400")])
 def test_cli_overrides_are_checked_as_config_keys(tmp_path, capsys, key, value):
     settings = {"trials": 300, "seed": 5}
     as_key = tmp_path / "as_key.json"

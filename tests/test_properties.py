@@ -1,11 +1,13 @@
 """Property tests of the closed forms and the AF/DF switching point over the
-validated parameter domain, and of the exit codes of ``secrelay point`` in
-and out of it."""
+validated parameter domain, of the parameter keys of a sweep config, and of
+the exit codes of ``secrelay point`` in and out of it."""
 import contextlib
 import io
 import json
 import math
+from dataclasses import asdict, fields
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,7 @@ from secrelay.analytic import (
 from secrelay.cli import main
 from secrelay.decision import PowerAxis, find_switching_point
 from secrelay.params import SystemParams, from_decibel, validate
+from secrelay.sweep import ConfigError, parse_config
 
 
 def log_uniform(lo_exp, hi_exp):
@@ -121,3 +124,25 @@ def test_cli_point_exits_0_with_figures_in_range_or_3_without_a_traceback(argv):
         for scheme in ("AF", "DF"):
             assert 0.0 <= report[scheme]["c_soc"] <= report[scheme]["c_d"]
             assert 0.0 <= report[scheme]["p0"] <= 1.0
+
+
+SWEEP_KEYS = {"variable": "alpha-re", "grid": [1.0], "schemes": ["AF"], "mode": "analytic"}
+# Per field, values outside the domain validate accepts, including an
+# integer beyond the float range.
+OUT_OF_DOMAIN = {
+    "p_s": (-1.0, math.inf), "p_r": (-1e-300, math.nan), "alpha_sr": (0.0, -2.0),
+    "alpha_rd": (0.0, math.inf), "alpha_re": (-1.0, math.nan), "rho": (-0.5, 1.5),
+    "n_r": (0, -3, 2.5), "w_hz": (0.0, -1.0), "epsilon": (0.0, 1.5),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(valid_params(), st.sampled_from([field.name for field in fields(SystemParams)]),
+       st.data())
+def test_config_keys_round_trip_and_name_the_field_out_of_domain(params, field, data):
+    doc = dict(SWEEP_KEYS, **asdict(params))
+    assert parse_config(json.dumps(doc)).base == params
+    doc[field] = data.draw(st.sampled_from(OUT_OF_DOMAIN[field] + (10**400,)))
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(doc))
+    assert excinfo.value.field == field
