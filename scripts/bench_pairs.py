@@ -1,4 +1,4 @@
-"""Alternating base/change pairs of the benchmark, summarised into one JSON file.
+"""Alternating base/change pairs of the benchmark, with an A/A control, in one JSON file.
 
     python3 scripts/bench_pairs.py --base HEAD~1 --head HEAD --out BENCH.json
 
@@ -8,14 +8,20 @@ always ten pairs, so every file this script writes covers what the benchmark
 compares.  Each side is exported with ``git archive`` into its own directory
 under a temporary directory, so both run the committed files only, and both
 are byte-compiled before the first run, so neither starts with a
-``__pycache__`` the other lacks.  Pair ``i`` runs the benchmark command with
-``--trace 0`` on both trees at seed ``seeds[i]``, base first in even pairs and
-change first in odd ones.
+``__pycache__`` the other lacks.  The base is exported twice: the second copy
+is the A/A control, a change that changes nothing.  Pair ``i`` runs every
+workload in turn, so drift that outlasts a pair hits all workloads alike.
+Each workload runs the benchmark command with ``--trace 0`` on the three
+trees at seed ``seeds[i]``: base, change, base copy in even pairs and base
+copy, change, base in odd ones, so that both comparisons are balanced
+against drift within a pair.
 The first seed is the holdout seed 20261017.  For every workload and every
 end-to-end metric of BENCHMARK.json the output holds each side's median and
 quartiles, the change's median relative change, the number of pairs the
 change wins, and whether the median gap exceeds the base's interquartile
-range.  ``--head`` may name any commit, e.g. one made by ``git stash create``
+range.  ``aa_control`` holds the same summary with the base copy in the
+place of the change: a claimed gain has to beat the gap and the wins it
+shows.  ``--head`` may name any commit, e.g. one made by ``git stash create``
 to measure an uncommitted tree.
 """
 import argparse
@@ -30,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
 PAIRS = 10
 HOLDOUT_SEED = 20261017
+SIDES = ("base", "head", "base_copy")  # run order in even pairs; reversed in odd ones
 
 
 def git(*args) -> str:
@@ -72,12 +79,13 @@ def spread(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarise(runs) -> dict:
+def summarise(runs, side: str) -> dict:
+    """The end-to-end metrics of ``side`` against those of the base, pair by pair."""
     summary = {}
     for metric in BENCH["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         base = [r["base"]["metrics"][name] for r in runs]
-        head = [r["head"]["metrics"][name] for r in runs]
+        head = [r[side]["metrics"][name] for r in runs]
         b, h = spread(base), spread(head)
         wins = sum((y < x) if lower else (y > x) for x, y in zip(base, head))
         summary[name] = {
@@ -101,39 +109,44 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     seeds = [HOLDOUT_SEED] + [41 + i for i in range(PAIRS - 1)]
-    sides = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
+    base_sha = git("rev-parse", args.base)
+    shas = {"base": base_sha, "head": git("rev-parse", args.head), "base_copy": base_sha}
     doc = {
-        "base_sha": sides["base"],
-        "head_sha": sides["head"],
+        "base_sha": shas["base"],
+        "head_sha": shas["head"],
         "seconds": BENCH["run_seconds"],
         "seeds": seeds,
         "holdout_seed": HOLDOUT_SEED,
-        "order": "base first in even pairs, change first in odd pairs",
+        "order": "every workload in each pair; base, change, base copy in even pairs "
+                 "and the reverse in odd pairs",
         "workloads": {},
     }
+    names = [w["name"] for w in BENCH["workloads"]]
+    runs = {name: [] for name in names}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {side: export(sha, Path(tmp) / side) for side, sha in sides.items()}
-        for workload in (w["name"] for w in BENCH["workloads"]):
-            runs = []
-            for i, seed in enumerate(seeds):
-                order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        trees = {side: export(sha, Path(tmp) / side) for side, sha in shas.items()}
+        for i, seed in enumerate(seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for workload in names:
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run_once(trees[side], workload, seed)
                     print(f"{workload} pair {i} seed {seed} {side}: "
                           f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr, flush=True)
-                runs.append(pair)
-            env = runs[0]["head"]["env"]
-            doc["env"] = {key: env.get(key) for key in ("numpy", "python", "nproc", "machine")}
-            doc["src_sha256"] = {side: runs[0][side]["env"]["src_sha256"] for side in sides}
-            doc["workloads"][workload] = {
+                runs[workload].append(pair)
+            first = runs[names[0]][0]
+            doc["env"] = {key: first["head"]["env"].get(key)
+                          for key in ("numpy", "python", "nproc", "machine")}
+            doc["src_sha256"] = {side: first[side]["env"]["src_sha256"] for side in SIDES}
+            doc["workloads"] = {workload: {
                 "all_correct": all(r[s]["correct"] and r[s]["failed"] == 0
-                                   for r in runs for s in sides),
-                "metrics": summarise(runs),
+                                   for r in pairs for s in SIDES),
+                "metrics": summarise(pairs, "head"),
+                "aa_control": summarise(pairs, "base_copy"),
                 "runs": [{key: ({k: v for k, v in val.items() if k != "env"}
-                                if key in sides else val) for key, val in r.items()}
-                         for r in runs],
-            }
+                                if key in SIDES else val) for key, val in r.items()}
+                         for r in pairs],
+            } for workload, pairs in runs.items()}
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -20,14 +20,6 @@ from .analytic import (
     secrecy_outage_capacity_af,
     secrecy_outage_capacity_df,
 )
-from .channel import (
-    ChannelDraw,
-    DegenerateDrawError,
-    LinkStatistics,
-    draw_channels,
-    link_statistics,
-    trial_rng,
-)
 from .decision import (
     ComparisonVerdict,
     Criterion,

@@ -24,7 +24,6 @@ class Regime(str, Enum):
 
 @dataclass(frozen=True)
 class SchemeReport:
-    scheme: Scheme
     c_d: float    # legitimate channel capacity, bit/s
     c_soc: float  # secrecy outage capacity, bit/s (clamped at 0)
     p0: float     # interception probability
@@ -171,6 +170,14 @@ def asymptotic_limit(params: SystemParams, regime, scheme) -> AsymptoticLimit:
     return AsymptoticLimit(max(c_soc, 0.0), p0)
 
 
+def check_finite(value: float, name: str, db: float | None = None) -> float:
+    """Return ``value``; raise ArithmeticError naming it (and the dB point) if not finite."""
+    if not math.isfinite(value):
+        where = "" if db is None else f" at {db:g} dB"
+        raise ArithmeticError(f"{name} is not finite ({value}){where}")
+    return value
+
+
 def scheme_report(scheme, params: SystemParams) -> SchemeReport:
     """Evaluate all three closed-form figures of merit for one scheme.
 
@@ -182,9 +189,5 @@ def scheme_report(scheme, params: SystemParams) -> SchemeReport:
         figures = (legit_capacity_af, secrecy_outage_capacity_af, interception_probability_af)
     else:
         figures = (legit_capacity_df, secrecy_outage_capacity_df, interception_probability_df)
-    values = {}
-    for name, figure in zip(("c_d", "c_soc", "p0"), figures):
-        values[name] = figure(params)
-        if not math.isfinite(values[name]):
-            raise ArithmeticError(f"{scheme.value} {name} is not finite ({values[name]})")
-    return SchemeReport(scheme=scheme, **values)
+    return SchemeReport(*[check_finite(figure(params), f"{scheme.value} {name}")
+                          for name, figure in zip(("c_d", "c_soc", "p0"), figures)])

@@ -74,10 +74,7 @@ def _cmd_point(args) -> int:
         f.name: from_decibel(given[f.name]) if f.name in DB_FIELDS else given[f.name]
         for f in fields(SystemParams) if f.name in given
     }))
-    out = {}
-    for scheme in (Scheme.AF, Scheme.DF):
-        report = scheme_report(scheme, params)
-        out[scheme.value] = {"c_d": report.c_d, "c_soc": report.c_soc, "p0": report.p0}
+    out = {scheme.value: vars(scheme_report(scheme, params)) for scheme in (Scheme.AF, Scheme.DF)}
     print(json.dumps(out, indent=2))
     return 0
 

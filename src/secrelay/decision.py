@@ -11,6 +11,7 @@ from enum import Enum
 
 from .analytic import (
     Scheme,
+    check_finite,
     interception_probability_af,
     interception_probability_df,
     secrecy_outage_capacity_af,
@@ -20,7 +21,7 @@ from .params import SystemParams, from_decibel
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DB_TOL = 1e-3        # refinement resolution on the dB axis
-GRID_STEP_DB = 0.1   # default scan resolution
+GRID_STEP_DB = 0.1   # scan resolution of optimal_relay_power's backstop grid
 # A capacity gap this small relative to the larger scheme counts as a tie;
 # ties go to AF on complexity grounds.
 CAPACITY_TIE_REL = 1e-4
@@ -46,7 +47,6 @@ class ComparisonVerdict:
     delta_c_soc: float   # AF minus DF secrecy outage capacity, bit/s
     delta_p0: float      # AF minus DF interception probability
     recommended: Scheme
-    criterion: Criterion
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,6 @@ def _db_grid(lo_db: float, hi_db: float, step_db: float):
     return grid
 
 
-def _finite(value: float, name: str, db: float | None = None) -> float:
-    if not math.isfinite(value):
-        where = "" if db is None else f" at {db:g} dB"
-        raise ArithmeticError(f"{name} is not finite ({value}){where}")
-    return value
-
-
 def compare_schemes(params: SystemParams, criterion=Criterion.CAPACITY) -> ComparisonVerdict:
     """Compare AF and DF under the chosen criterion; near-ties go to AF.
 
@@ -83,20 +76,18 @@ def compare_schemes(params: SystemParams, criterion=Criterion.CAPACITY) -> Compa
         ArithmeticError: a closed-form capacity or probability is not finite.
     """
     criterion = Criterion(criterion)
-    soc_af = _finite(secrecy_outage_capacity_af(params), "AF c_soc")
-    soc_df = _finite(secrecy_outage_capacity_df(params), "DF c_soc")
+    soc_af = check_finite(secrecy_outage_capacity_af(params), "AF c_soc")
+    soc_df = check_finite(secrecy_outage_capacity_df(params), "DF c_soc")
     delta_c = soc_af - soc_df
-    delta_p = (_finite(interception_probability_af(params), "AF p0")
-               - _finite(interception_probability_df(params), "DF p0"))
+    delta_p = (check_finite(interception_probability_af(params), "AF p0")
+               - check_finite(interception_probability_df(params), "DF p0"))
     if criterion is Criterion.CAPACITY:
         tie = abs(delta_c) <= CAPACITY_TIE_REL * max(soc_af, soc_df)
         recommended = Scheme.AF if tie or delta_c > 0.0 else Scheme.DF
     else:
         tie = abs(delta_p) <= P0_TIE_ABS
         recommended = Scheme.AF if tie or delta_p < 0.0 else Scheme.DF
-    return ComparisonVerdict(
-        delta_c_soc=delta_c, delta_p0=delta_p, recommended=recommended, criterion=criterion
-    )
+    return ComparisonVerdict(delta_c_soc=delta_c, delta_p0=delta_p, recommended=recommended)
 
 
 def find_switching_point(params_template: SystemParams, sweep_var, lo_db: float, hi_db: float):
@@ -120,8 +111,8 @@ def find_switching_point(params_template: SystemParams, sweep_var, lo_db: float,
     # Overflow grows with the swept power, so the bracket ends bound it.
     for db in (lo_db, hi_db):
         power = {field: from_decibel(db)}
-        _finite(secrecy_outage_capacity_af(params_template, **power), "AF c_soc", db)
-        _finite(secrecy_outage_capacity_df(params_template, **power), "DF c_soc", db)
+        check_finite(secrecy_outage_capacity_af(params_template, **power), "AF c_soc", db)
+        check_finite(secrecy_outage_capacity_df(params_template, **power), "DF c_soc", db)
 
     p = params_template
     a = p.rho * p.n_r * p.alpha_rd
@@ -140,7 +131,7 @@ def find_switching_point(params_template: SystemParams, sweep_var, lo_db: float,
     if u == 0.0:  # zero fixed power, or products of it that underflow
         return []
     root = 2.0 * u / (lin / u + math.hypot(lin / u, 2.0 * q)) / per_power
-    root = _finite(root, "switching point")
+    root = check_finite(root, "switching point")
     root_db = 10.0 * math.log10(root) if root > 0.0 else -math.inf
     return [root_db] if lo_db < root_db < hi_db else []
 
@@ -164,7 +155,7 @@ def optimal_relay_power(
     name = f"{scheme.value} c_soc"
 
     def f(db):
-        return _finite(soc(params_template, p_r=from_decibel(db)), name, db)
+        return check_finite(soc(params_template, p_r=from_decibel(db)), name, db)
 
     grid = _db_grid(lo_db, hi_db, GRID_STEP_DB)
     grid_values = [f(x) for x in grid]

@@ -46,8 +46,6 @@ def check_trials(trials: int, epsilon: float) -> None:
 class McEstimate:
     value: float      # bit/s for capacities, probability for interception
     std_error: float  # estimated standard error of ``value``
-    trials: int
-    seed: int
 
 
 class SecrecyEstimates(NamedTuple):
@@ -138,16 +136,12 @@ def _collect_statistics(params: SystemParams, trials: int, seed: int):
     return g_sr, g_d, g_e
 
 
-def _reduce(scheme: Scheme, g_sr, g_d, g_e, params: SystemParams, trials: int,
-            seed: int) -> SecrecyEstimates:
+def _reduce(scheme: Scheme, g_sr, g_d, g_e, params: SystemParams,
+            trials: int) -> SecrecyEstimates:
     c_d, c_e = _finite_rates(scheme, g_sr, g_d, g_e, params)
     diff = np.sort(c_d - c_e)
-    c_soc = McEstimate(
-        value=max(empirical_quantile(diff, params.epsilon), 0.0),
-        std_error=_quantile_std_error(diff, params.epsilon),
-        trials=trials,
-        seed=seed,
-    )
+    c_soc = McEstimate(value=max(empirical_quantile(diff, params.epsilon), 0.0),
+                       std_error=_quantile_std_error(diff, params.epsilon))
     if scheme is Scheme.AF and params.p_s > 0.0 and params.p_r > 0.0:
         # af_snr grows with p_r*alpha*g, so this is c_e >= c_d without the
         # ties that rounding makes once both rates reach the first-hop value.
@@ -155,12 +149,7 @@ def _reduce(scheme: Scheme, g_sr, g_d, g_e, params: SystemParams, trials: int,
     else:
         intercepted = c_e >= c_d
     frac = float(np.count_nonzero(intercepted)) / trials
-    p0 = McEstimate(
-        value=frac,
-        std_error=math.sqrt(frac * (1.0 - frac) / trials),
-        trials=trials,
-        seed=seed,
-    )
+    p0 = McEstimate(value=frac, std_error=math.sqrt(frac * (1.0 - frac) / trials))
     return SecrecyEstimates(c_soc=c_soc, p0=p0)
 
 
@@ -182,7 +171,7 @@ def estimate_schemes(schemes, params: SystemParams, trials: int, seed: int) -> d
     if not schemes:
         raise ValueError("no schemes to estimate")
     stats = _collect_statistics(params, trials, seed)
-    return {s: _reduce(s, *stats, params, trials, seed) for s in schemes}
+    return {s: _reduce(s, *stats, params, trials) for s in schemes}
 
 
 def estimate(scheme, params: SystemParams, trials: int, seed: int) -> SecrecyEstimates:

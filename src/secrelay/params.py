@@ -36,6 +36,7 @@ class SystemParams:
 # Fields given in dB at the CLI and config boundary (flag ``--p-s-db``, key
 # ``p_s_db``), with the quantity each one is.
 DB_FIELDS = {"p_s": "source power", "p_r": "relay power"}
+FLOAT_OVERFLOW = 2**1024 - 2**970  # the smallest integer that float() overflows on
 
 
 def from_decibel(snr_db: float) -> float:
@@ -62,7 +63,9 @@ def validate(params: SystemParams) -> SystemParams:
             errors.append(f"{name} must be finite and > 0, got {v}")
     if not (math.isfinite(params.rho) and 0.0 <= params.rho <= 1.0):
         errors.append(f"rho must lie in [0, 1], got {params.rho}")
-    if params.n_r != int(params.n_r) or params.n_r < 1:
+    if isinstance(params.n_r, int) and not abs(params.n_r) < FLOAT_OVERFLOW:
+        errors.append("n_r must be an integer >= 1 that a float can hold")
+    elif params.n_r != int(params.n_r) or params.n_r < 1:
         errors.append(f"n_r must be an integer >= 1, got {params.n_r}")
     if not (math.isfinite(params.w_hz) and params.w_hz > 0.0):
         errors.append(f"w_hz must be finite and > 0, got {params.w_hz}")

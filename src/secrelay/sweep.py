@@ -12,12 +12,11 @@ from pathlib import Path
 
 from . import montecarlo
 from .analytic import Scheme, scheme_report
-from .params import DB_FIELDS, ParameterError, SystemParams, from_decibel, validate
+from .params import DB_FIELDS, FLOAT_OVERFLOW, ParameterError, SystemParams, from_decibel, validate
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 10_000
 MAX_GRID_POINTS = 1_000_000  # cap on a {lo, hi, step} range, checked before expansion
-_FLOAT_OVERFLOW = 2**1024 - 2**970  # the smallest integer that float() overflows on
 
 _SWEEP_KEYS = ("variable", "grid", "schemes", "mode", "trials", "seed")
 
@@ -74,7 +73,7 @@ class RowError(RuntimeError):
 def _require_number(raw, key, *, integer=False):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(key, f"expected a number, got {raw!r}")
-    if not abs(raw) < _FLOAT_OVERFLOW:  # NaN, inf, or an integer too large for a float
+    if not abs(raw) < FLOAT_OVERFLOW:  # NaN, inf, or an integer too large for a float
         raise ConfigError(key, f"expected a finite value, got {raw!r}")
     if integer and raw != int(raw):
         raise ConfigError(key, f"expected an integer, got {raw!r}")
@@ -146,7 +145,7 @@ def parse_config(text: str) -> SweepSpec:
     """Parse and validate a flat JSON sweep configuration."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ConfigError("<document>", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("<document>", "top level must be a JSON object")
@@ -225,7 +224,7 @@ def run_sweep(spec: SweepSpec):
                 estimates = montecarlo.estimate_schemes(
                     spec.schemes, p, spec.trials, spec.seed ^ index
                 )
-        except (ParameterError, ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise RowError(index, spec.variable, value, exc) from exc
         row = {"value": float(value)}
         for scheme, report in reports.items():

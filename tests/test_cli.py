@@ -86,11 +86,16 @@ def test_db_keys_convert_at_the_boundary():
         ({"mode": "both", "trials": 10**400, "seed": 1}, "trials"),
         ({"mode": "both", "trials": 1000, "seed": 10**400}, "seed"),
         ({"variable": "n-r", "grid": [1, 10**400]}, "grid"),
+        # An integer of more digits than json.loads converts (given as text:
+        # json.dumps cannot write it either).
+        pytest.param(config()[:-1] + ', "n_r": 1' + "0" * 5000 + "}", "<document>",
+                     id="n_r-of-5001-digits"),
     ],
 )
 def test_config_errors_carry_the_field_path(overrides, field):
+    text = overrides if isinstance(overrides, str) else config(**overrides)
     with pytest.raises(ConfigError) as excinfo:
-        parse_config(config(**overrides))
+        parse_config(text)
     assert field in excinfo.value.field
 
 
@@ -534,6 +539,13 @@ def test_cli_sweep_out_naming_a_directory_is_an_io_error(tmp_path, preset):
     assert result.stderr.startswith("i/o error: ") and "is a directory" in result.stderr
     assert "Traceback" not in result.stderr
     assert sorted(tmp_path.rglob("*")) == [cfg, out_dir]
+
+
+def test_cli_point_with_an_n_r_beyond_the_float_range_names_n_r(capsys):
+    assert main(["point", "--n-r", "1" + "0" * 400]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: n_r must be an integer >= 1 that a float can hold\n"
 
 
 def test_cli_point_at_huge_relay_power_reports_the_exact_af_interception():

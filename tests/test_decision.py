@@ -27,7 +27,6 @@ def test_compare_at_reference_point_recommends_df():
     verdict = compare_schemes(REFERENCE, Criterion.CAPACITY)
     assert verdict.delta_c_soc == pytest.approx(DELTA_20DB, rel=1e-12)
     assert verdict.recommended is Scheme.DF
-    assert verdict.criterion is Criterion.CAPACITY
 
 
 def test_compare_near_tie_at_high_source_power_prefers_af():

@@ -73,6 +73,10 @@ def test_validate_reports_every_violation():
         ("alpha_rd", 0.0),
         ("w_hz", 0.0),
         ("n_r", 2.5),
+        # Integers that no float can hold, the smallest one included.
+        pytest.param("n_r", 2**1024 - 2**970, id="n_r-2**1024-2**970"),
+        pytest.param("n_r", -(10**400), id="n_r--10**400"),
+        pytest.param("n_r", 10**5000, id="n_r-10**5000"),
         ("rho", -0.01),
     ],
 )
@@ -85,3 +89,4 @@ def test_validate_rejects_each_bad_field(field, value):
 def test_boundary_values_accepted():
     validate(SystemParams(p_s=0.0, p_r=0.0, rho=0.0))
     validate(SystemParams(rho=1.0, n_r=1))
+    validate(SystemParams(n_r=2**1024 - 2**970 - 1))  # the largest integer a float can hold

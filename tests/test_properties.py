@@ -1,6 +1,7 @@
-"""Property tests of the closed forms and the AF/DF switching point over the
-validated parameter domain, of the parameter keys of a sweep config, and of
-the exit codes of ``secrelay point`` in and out of it."""
+"""Property tests of the closed forms, the Monte Carlo estimates and the
+AF/DF switching point over the validated parameter domain, of the parameter
+keys of a sweep config, and of the exit codes of ``secrelay point`` in and
+out of it."""
 import contextlib
 import io
 import json
@@ -19,6 +20,7 @@ from secrelay.analytic import (
 )
 from secrelay.cli import main
 from secrelay.decision import PowerAxis, find_switching_point
+from secrelay.montecarlo import InsufficientSampleError, estimate_schemes
 from secrelay.params import SystemParams, from_decibel, validate
 from secrelay.sweep import ConfigError, parse_config
 
@@ -54,6 +56,29 @@ def test_scheme_report_is_finite_and_in_range_over_the_validated_domain(params, 
     assert 0.0 <= report.c_soc <= report.c_d
     assert math.isfinite(report.c_d)
     assert 0.0 <= report.p0 <= 1.0
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+# Drawn powers do not overflow the AF rates; this example does.
+@example(SystemParams(p_s=1e200, p_r=1e200), 100, 0)
+@given(valid_params(), st.integers(100, 400), st.integers(0, 2**64 - 1))
+def test_monte_carlo_estimates_are_finite_and_in_range_over_the_validated_domain(
+        params, trials, seed):
+    try:
+        estimates = estimate_schemes(("AF", "DF"), params, trials, seed)
+    except InsufficientSampleError:
+        assert params.epsilon * trials < 1.0  # trials >= MIN_TRIALS here
+        return
+    except ArithmeticError as exc:
+        # The typed error for overflowing rates, not a ZeroDivisionError.
+        assert type(exc) is ArithmeticError and "rates are not finite" in str(exc)
+        return
+    for est in estimates.values():
+        for figure in est:
+            assert math.isfinite(figure.value) and math.isfinite(figure.std_error)
+            assert figure.std_error >= 0.0
+        assert est.c_soc.value >= 0.0
+        assert 0.0 <= est.p0.value <= 1.0
 
 
 def _capacities_finite_at(params, field, db):
