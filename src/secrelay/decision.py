@@ -1,9 +1,6 @@
 """AF/DF scheme comparison, switching-point location, and relay-power
-optimization over the closed-form secrecy outage capacity.
-
-Optimization runs on the analytic expressions, never on Monte Carlo
-estimates: the objective is smooth and deterministic, and estimator noise
-would break the golden-section bracketing.
+optimization over the closed-form secrecy outage capacity, whose optima come
+from its shape (Monte Carlo estimates would blur it with noise).
 """
 import math
 from dataclasses import dataclass
@@ -21,7 +18,7 @@ from .params import SystemParams, from_decibel
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DB_TOL = 1e-3        # refinement resolution on the dB axis
-GRID_STEP_DB = 0.1   # scan resolution of optimal_relay_power's backstop grid
+GRID_STEP_DB = 0.1   # lattice of the DF optimum's candidate points on the dB axis
 # A capacity gap this small relative to the larger scheme counts as a tie;
 # ties go to AF on complexity grounds.
 CAPACITY_TIE_REL = 1e-4
@@ -55,18 +52,23 @@ class RelayPowerOptimum:
     c_soc_opt: float
 
 
-def _db_grid(lo_db: float, hi_db: float, step_db: float):
-    grid = []
-    i = 0
-    while True:
-        x = lo_db + i * step_db
-        if x > hi_db + 1e-12:
-            break
-        grid.append(min(x, hi_db))
-        i += 1
-    if grid[-1] < hi_db - 1e-12:
-        grid.append(hi_db)
-    return grid
+def _scan_neighbours(lo_db: float, hi_db: float, at_db: float) -> list:
+    """The scan points next to at_db, one per side, formed by index.  The scan is
+    lo_db + i*GRID_STEP_DB up to hi_db (each clipped to it), closed by hi_db."""
+    j = math.floor((at_db - lo_db) / GRID_STEP_DB)
+    scan = [min(x, hi_db) for i in range(max(j - 1, 0), j + 4)
+            if (x := lo_db + i * GRID_STEP_DB) <= hi_db + 1e-12]
+    scan += [hi_db] if scan[-1] < hi_db - 1e-12 else []
+    return [x for x in scan if x <= at_db][-1:] + [x for x in scan if x > at_db][:1]
+
+
+def _to_db(power: float) -> float:
+    return 10.0 * math.log10(power) if power > 0.0 else -math.inf
+
+
+def _coefficients(p: SystemParams) -> tuple:
+    """(A, a, b) = (p_s*alpha_sr*n_r, rho*n_r*alpha_rd, alpha_re*ln(1/eps))."""
+    return p.p_s * p.alpha_sr * p.n_r, p.rho * p.n_r * p.alpha_rd, -p.alpha_re * math.log(p.epsilon)
 
 
 def compare_schemes(params: SystemParams, criterion=Criterion.CAPACITY) -> ComparisonVerdict:
@@ -115,8 +117,7 @@ def find_switching_point(params_template: SystemParams, sweep_var, lo_db: float,
         check_finite(secrecy_outage_capacity_df(params_template, **power), "DF c_soc", db)
 
     p = params_template
-    a = p.rho * p.n_r * p.alpha_rd
-    b = -p.alpha_re * math.log(p.epsilon)
+    big_a, a, b = _coefficients(p)
     if not a > b > 0.0:
         return []
     # Both equations read q^2*x^2 + lin*x = u^2 with x = P or A.  The squares
@@ -125,14 +126,12 @@ def find_switching_point(params_template: SystemParams, sweep_var, lo_db: float,
         u = math.sqrt(b * p.p_r) * math.sqrt(a * p.p_r + 1.0)
         q, lin, per_power = 1.0, 1.0, p.alpha_sr * p.n_r
     else:
-        big_a = p.p_s * p.alpha_sr * p.n_r
         u = math.sqrt(big_a) * math.sqrt(big_a + 1.0)
         q, lin, per_power = math.sqrt(a) * math.sqrt(b), b, 1.0
     if u == 0.0:  # zero fixed power, or products of it that underflow
         return []
     root = 2.0 * u / (lin / u + math.hypot(lin / u, 2.0 * q)) / per_power
-    root = check_finite(root, "switching point")
-    root_db = 10.0 * math.log10(root) if root > 0.0 else -math.inf
+    root_db = _to_db(check_finite(root, "switching point"))
     return [root_db] if lo_db < root_db < hi_db else []
 
 
@@ -141,46 +140,47 @@ def optimal_relay_power(
 ) -> RelayPowerOptimum:
     """Relay power maximizing the closed-form secrecy outage capacity.
 
-    Golden-section search on the dB axis to DB_TOL, backstopped by a
-    GRID_STEP_DB scan; the better of the two results is returned.
+    With find_switching_point's A, a and b, both capacities are zero unless
+    a > b.  AF peaks at P* = sqrt((A + 1)/(a*b)), DF at hop balance A/a; each
+    is clipped to the bracket.  DF returns the better of the GRID_STEP_DB scan
+    points beside its peak and a golden-section search to DB_TOL.
 
     Raises:
-        NoOptimumError: the capacity is zero across the scan grid.
-        ArithmeticError: the capacity is not finite at an evaluated point.
+        NoOptimumError: the capacity is zero at the optimum (AF: whenever a <= b).
+        ArithmeticError: the capacity is not finite at a bracket end.
     """
     scheme = Scheme(scheme)
     if not lo_db < hi_db:
         raise ValueError(f"invalid bracket: need lo_db < hi_db, got [{lo_db}, {hi_db}]")
     soc = secrecy_outage_capacity_af if scheme is Scheme.AF else secrecy_outage_capacity_df
-    name = f"{scheme.value} c_soc"
 
     def f(db):
-        return check_finite(soc(params_template, p_r=from_decibel(db)), name, db)
+        return check_finite(soc(params_template, p_r=from_decibel(db)), f"{scheme.value} c_soc", db)
 
-    grid = _db_grid(lo_db, hi_db, GRID_STEP_DB)
-    grid_values = [f(x) for x in grid]
-    best_idx = max(range(len(grid)), key=grid_values.__getitem__)
-    grid_best_db, grid_best = grid[best_idx], grid_values[best_idx]
-    if grid_best <= 0.0:
-        raise NoOptimumError(
-            f"{scheme.value} secrecy outage capacity is zero across [{lo_db}, {hi_db}] dB"
-        )
-
-    a, b = lo_db, hi_db
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    f_c, f_d = f(c), f(d)
-    while b - a > DB_TOL:
-        if f_c > f_d:
-            b, d, f_d = d, c, f_c
-            c = b - _GOLDEN * (b - a)
-            f_c = f(c)
-        else:
-            a, c, f_c = c, d, f_d
-            d = a + _GOLDEN * (b - a)
-            f_d = f(d)
-    gs_db = 0.5 * (a + b)
-    gs_value = f(gs_db)
-    if gs_value >= grid_best:
-        return RelayPowerOptimum(p_r_opt_db=gs_db, c_soc_opt=gs_value)
-    return RelayPowerOptimum(p_r_opt_db=grid_best_db, c_soc_opt=grid_best)
+    f(lo_db), f(hi_db)  # overflow grows with p_r, so the bracket ends bound it
+    big_a, a, b = _coefficients(params_template)
+    best = (lo_db, 0.0)  # AF's capacity when a <= b
+    if scheme is Scheme.DF:
+        kink_db = max(lo_db, min(hi_db, _to_db(big_a / a) if a else math.inf))
+        grid = _scan_neighbours(lo_db, hi_db, kink_db)
+        best = max(zip(grid, map(f, grid)), key=lambda pair: pair[1])  # ties: the lower
+    elif a > b:
+        # From square roots, so that no product overflows where P* does not.
+        star = math.sqrt(big_a + 1.0) / (math.sqrt(a) * math.sqrt(b)) if b > 0.0 else math.inf
+        best_db = float(max(lo_db, min(hi_db, _to_db(star))))
+        best = (best_db, f(best_db))
+    if best[1] <= 0.0:
+        raise NoOptimumError(f"{scheme.value} c_soc is zero across [{lo_db}, {hi_db}] dB")
+    if scheme is Scheme.DF:
+        c, d = hi_db - _GOLDEN * (hi_db - lo_db), lo_db + _GOLDEN * (hi_db - lo_db)
+        f_c, f_d = f(c), f(d)
+        while hi_db - lo_db > DB_TOL:
+            if f_c > f_d:
+                hi_db, d, f_d = d, c, f_c
+                f_c = f(c := hi_db - _GOLDEN * (hi_db - lo_db))
+            else:
+                lo_db, c, f_c = c, d, f_d
+                f_d = f(d := lo_db + _GOLDEN * (hi_db - lo_db))
+        gs_db = 0.5 * (lo_db + hi_db)
+        best = max((gs_db, f(gs_db)), best, key=lambda pair: pair[1])
+    return RelayPowerOptimum(*best)

@@ -145,7 +145,7 @@ def parse_config(text: str) -> SweepSpec:
     """Parse and validate a flat JSON sweep configuration."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise ConfigError("<document>", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("<document>", "top level must be a JSON object")
