@@ -28,6 +28,8 @@ from secrelay.decision import DB_TOL, find_switching_point, optimal_relay_power
 from secrelay.montecarlo import estimate
 from secrelay.params import SystemParams, from_decibel, validate
 
+from reference_search import reference_relay_power
+
 SEED = 42
 TRIALS = 10_000
 REFERENCE = SystemParams()  # 20 dB powers, alphas 1, rho 0.9, n_r 100, w 1e4
@@ -156,6 +158,8 @@ def test_criterion_6_interior_relay_power_optimum():
     # side, where the 10x bar is kept.
     template = SystemParams(p_s=from_decibel(10), epsilon=0.05)
     opt = optimal_relay_power(template, -20.0, 80.0, Scheme.AF)
+    # A search that assumes nothing of the capacity's shape.
+    ref = reference_relay_power(template, -20.0, 80.0, Scheme.AF)
 
     def soc(db):
         return secrecy_outage_capacity_af(replace(template, p_r=from_decibel(db)))
@@ -166,6 +170,8 @@ def test_criterion_6_interior_relay_power_optimum():
     mirror = soc(2.0 * star_db + 20.0)
     interior = -20.0 < opt.p_r_opt_db < 80.0
     at_star = abs(opt.p_r_opt_db - star_db) <= DB_TOL
+    search_agrees = (abs(ref.p_r_opt_db - star_db) <= DB_TOL
+                     and opt.c_soc_opt >= ref.c_soc_opt * (1.0 - 1e-9))
     peak = opt.c_soc_opt == pytest.approx(soc(star_db), rel=1e-9)
     grid = [-20.0 + 0.1 * i for i in range(1001)]
     rising = [soc(x) for x in grid if x <= star_db]
@@ -177,11 +183,14 @@ def test_criterion_6_interior_relay_power_optimum():
     mirrored = lo == pytest.approx(mirror, rel=1e-9)
     ratio_lo = opt.c_soc_opt / lo
     ratio_hi = opt.c_soc_opt / hi
-    ok = interior and at_star and peak and unimodal and mirrored and ratio_hi >= 10.0
+    ok = (interior and at_star and search_agrees and peak and unimodal and mirrored
+          and ratio_hi >= 10.0)
     report(
         "criterion 6", ok,
         f"optimum {opt.c_soc_opt:.1f} bit/s at {opt.p_r_opt_db:.4f} dB (interior={interior}); "
         f"closed-form P* {star_db:.4f} dB (within {DB_TOL} dB: {at_star}; peak matches: {peak}); "
+        f"reference search {ref.c_soc_opt:.1f} bit/s at {ref.p_r_opt_db:.4f} dB "
+        f"(within {DB_TOL} dB of P* and not above the optimum: {search_agrees}); "
         f"rises then falls on the 0.1 dB grid: {unimodal}; "
         f"c_soc(-20 dB) {lo:.1f} vs mirror c_soc({2.0 * star_db + 20.0:.2f} dB) {mirror:.1f} "
         f"(match: {mirrored}); endpoint ratios lo {ratio_lo:.2f}x, hi {ratio_hi:.2f}x "

@@ -515,6 +515,30 @@ def test_cli_decision_with_overflowing_powers_is_a_numeric_error(
     assert "Traceback" not in result.stderr
 
 
+def test_cli_optimize_with_an_overflowing_high_end_is_a_numeric_error(tmp_path, capsys):
+    # At p_s 2000 dB the AF capacity peaks at P* = 997.8 dB, where it is
+    # finite, and is not finite from 1043.0 dB on.
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(config(variable="relay-power-db", grid=[0.0, 1100.0], p_s_db=2000,
+                          epsilon=0.05))
+    assert main(["optimize", "--config", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: AF c_soc is not finite (nan) at 1100 dB\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize", "switch"])
+def test_cli_config_nested_too_deep_is_a_config_error(tmp_path, capsys, command):
+    # json.loads raises RecursionError, not a ValueError, on this document.
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100_000 + "]" * 100_000)
+    out_flag = ("--out", str(tmp_path / "out.csv")) if command == "sweep" else ()
+    assert main([command, "--config", str(cfg), *out_flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: <document>: invalid JSON: maximum recursion depth")
+
+
 def test_cli_preset_expands_to_labeled_files(tmp_path):
     result = run_cli("sweep", "--preset", "fig3b", "--out", str(tmp_path / "fig3b.csv"),
                      "--trials", "200")

@@ -15,6 +15,8 @@ from secrelay.decision import (
 )
 from secrelay.params import SystemParams, from_decibel
 
+from reference_search import reference_relay_power
+
 REFERENCE = SystemParams()
 
 # Frozen expectations from an extended-precision evaluation.
@@ -161,9 +163,12 @@ def test_af_optimum_matches_the_closed_form_argmax():
         if not -20.0 <= star_db <= 80.0:
             continue
         opt = optimal_relay_power(p, -20.0, 80.0, Scheme.AF)
+        # The reference search assumes nothing of the capacity's shape.
+        ref = reference_relay_power(p, -20.0, 80.0, Scheme.AF)
         checked += 1
-        if abs(opt.p_r_opt_db - star_db) > DB_TOL:
-            misses.append((p, opt.p_r_opt_db, star_db))
+        if (abs(opt.p_r_opt_db - star_db) > DB_TOL or abs(ref.p_r_opt_db - star_db) > DB_TOL
+                or opt.c_soc_opt < ref.c_soc_opt * (1.0 - 1e-9)):
+            misses.append((p, opt, ref, star_db))
     assert checked > 0
     assert not misses
 
@@ -197,3 +202,25 @@ def test_optimal_relay_power_error_cases():
     hopeless = replace(OPT_TEMPLATE, alpha_re=1e6)  # eavesdropper overwhelms everywhere
     with pytest.raises(NoOptimumError):
         optimal_relay_power(hopeless, -20.0, 20.0, Scheme.DF)
+
+
+def test_df_has_no_optimum_on_a_bracket_beyond_a_over_b():
+    # DF's capacity w*log2[(1 + min(A, aP))/(1 + bP)] is zero from P = A/b
+    # on: 10*log10(1000/ln 20) = 25.2 dB here.  Its kink, A/a = 11.0 dB,
+    # is clipped to the low end of the bracket.
+    for optimizer in (optimal_relay_power, reference_relay_power):
+        with pytest.raises(NoOptimumError):
+            optimizer(OPT_TEMPLATE, 25.3, 80.0, Scheme.DF)
+    assert optimal_relay_power(OPT_TEMPLATE, 25.1, 80.0, Scheme.DF).p_r_opt_db == 25.1
+
+
+def test_af_has_no_optimum_where_the_eavesdropper_gain_dominates():
+    # a = rho*n_r*alpha_rd = 1e8 < b = alpha_re*ln(1/eps) = 3.0e9, so the AF
+    # capacity is zero at every relay power.  The reference scan finds
+    # 1.8e-12 bit/s of rounding noise at 80 dB; the optimizer reports none.
+    p = replace(REFERENCE, p_s=1.0, alpha_sr=1e-3, alpha_rd=1e5, alpha_re=1e9, rho=1.0,
+                n_r=1000, epsilon=0.05)
+    noise = reference_relay_power(p, 60.0, 90.0, Scheme.AF)
+    assert 0.0 < noise.c_soc_opt < 1e-11
+    with pytest.raises(NoOptimumError):
+        optimal_relay_power(p, 60.0, 90.0, Scheme.AF)

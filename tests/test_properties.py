@@ -1,7 +1,7 @@
-"""Property tests of the closed forms, the Monte Carlo estimates and the
-AF/DF switching point over the validated parameter domain, of the parameter
-keys of a sweep config, and of the exit codes of ``secrelay point`` in and
-out of it."""
+"""Property tests of the closed forms, the Monte Carlo estimates, the
+AF/DF switching point and the relay-power optimum over the validated
+parameter domain, of the parameter keys of a sweep config, and of the exit
+codes of ``secrelay point`` in and out of it."""
 import contextlib
 import io
 import json
@@ -19,10 +19,12 @@ from secrelay.analytic import (
     secrecy_outage_capacity_df,
 )
 from secrelay.cli import main
-from secrelay.decision import PowerAxis, find_switching_point
+from secrelay.decision import NoOptimumError, PowerAxis, find_switching_point, optimal_relay_power
 from secrelay.montecarlo import InsufficientSampleError, estimate_schemes
 from secrelay.params import SystemParams, from_decibel, validate
 from secrelay.sweep import ConfigError, parse_config
+
+from reference_search import reference_relay_power
 
 
 def log_uniform(lo_exp, hi_exp):
@@ -108,6 +110,63 @@ def test_switching_point_is_one_root_strictly_inside_the_bracket(params, axis, b
     assert len(crossings) <= 1
     for x in crossings:
         assert math.isfinite(x) and lo_db < x < hi_db
+
+
+def _search(optimizer, params, bracket, scheme):
+    try:
+        return optimizer(params, *bracket, scheme)
+    except (NoOptimumError, ArithmeticError) as exc:
+        return exc
+
+
+BRACKET = st.lists(st.floats(-30.0, 90.0), min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+# Drawn powers do not overflow; this AF capacity does from 43.1 dB on.
+@example(SystemParams(p_s=1e300, epsilon=0.05), Scheme.AF, [-30.0, 90.0])
+@given(valid_params(), st.sampled_from(Scheme), BRACKET)
+def test_relay_power_optimum_is_never_below_the_reference_search(params, scheme, bracket):
+    # The reference scans the whole bracket and assumes nothing of the
+    # capacity's shape.  It finds a few 1e-12 bit/s of rounding noise where
+    # a <= b, which the closed forms read as zero.
+    ref = _search(reference_relay_power, params, bracket, scheme)
+    opt = _search(optimal_relay_power, params, bracket, scheme)
+    assert isinstance(opt, ArithmeticError) == isinstance(ref, ArithmeticError), (opt, ref)
+    if isinstance(opt, NoOptimumError):
+        assert isinstance(ref, NoOptimumError) or ref.c_soc_opt <= 1e-9 * params.w_hz
+    elif not isinstance(opt, ArithmeticError):
+        assert not isinstance(ref, Exception), ref
+        assert bracket[0] <= opt.p_r_opt_db <= bracket[1]
+        assert opt.c_soc_opt >= ref.c_soc_opt * (1.0 - 1e-9)
+
+
+@st.composite
+def paper_params(draw):
+    """Parameters around the paper's operating points; source power -10..40 dB."""
+    return SystemParams(
+        p_s=from_decibel(draw(st.floats(-10.0, 40.0))),
+        alpha_sr=draw(st.floats(0.1, 10.0)),
+        alpha_rd=draw(st.floats(0.1, 10.0)),
+        alpha_re=draw(st.floats(0.1, 10.0)),
+        rho=draw(st.floats(0.1, 1.0)),
+        n_r=draw(st.integers(10, 1000)),
+        epsilon=draw(st.floats(1e-3, 0.5)),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(paper_params(), BRACKET)
+def test_df_relay_power_optimum_equals_the_reference_search_in_the_paper_ranges(
+        params, bracket):
+    # Off these ranges DF's capacity can be flat to rounding (p_s >= 1e150),
+    # so the scan's first maximum may sit anywhere on the plateau.
+    ref = _search(reference_relay_power, params, bracket, Scheme.DF)
+    opt = _search(optimal_relay_power, params, bracket, Scheme.DF)
+    if isinstance(ref, Exception):
+        assert type(opt) is type(ref)
+    else:
+        assert (opt.p_r_opt_db, opt.c_soc_opt) == (ref.p_r_opt_db, ref.c_soc_opt)
 
 
 # Per kind of flag: values in the validated domain (-1e4 dB is a linear power
