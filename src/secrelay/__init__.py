@@ -9,7 +9,6 @@ from .analytic import (
     Regime,
     Scheme,
     SchemeReport,
-    af_snr,
     asymptotic_limit,
     eavesdropper_cdf_af,
     interception_probability_af,

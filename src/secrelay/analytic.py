@@ -34,22 +34,33 @@ class AsymptoticLimit(NamedTuple):
     p0_limit: float
 
 
-def af_snr(c, h, g_sr, g):
-    """Per-realization AF end-to-end SNR at a receiver whose link gain is ``g``.
+def coefficients(params: SystemParams, p_s: float | None = None) -> tuple:
+    """(A, a, b) = (p_s*alpha_sr*n_r, rho*n_r*alpha_rd, alpha_re*ln(1/epsilon)).
 
-    ``c = p_s*alpha_sr``, ``h = p_r*alpha`` of the relay's link to that
-    receiver, ``g_sr`` the first-hop gain.  Arithmetic only, so floats and
-    numpy arrays both work.  Every AF closed form is this SNR at the
-    channel-hardened gains g_sr = n_r, g_d = rho*n_r and g_e = ln(1/epsilon).
+    Every closed form reads its hardened SNRs from these, with P = p_r: for
+    AF ``(1 + x)(1 + A)/(1 + x + A)`` is 1 + SNR at x = aP (destination) and
+    x = bP (eavesdropper); for DF 1 + SNR is ``1 + min(A, aP)`` and ``1 + bP``.
+    ``p_s``, when given, stands in for that of ``params``, bit for bit.
+
+    Raises:
+        ArithmeticError: b is not >= 0 (an epsilon outside (0, 1]).
     """
-    return c * h * g * g_sr / (h * g + c * g_sr + 1.0)
+    b = -params.alpha_re * math.log(params.epsilon)
+    if not b >= 0.0:
+        raise ArithmeticError(f"alpha_re*ln(1/epsilon) = {b} is not >= 0")
+    p_s = params.p_s if p_s is None else p_s
+    return p_s * params.alpha_sr * params.n_r, params.rho * params.n_r * params.alpha_rd, b
+
+
+def _af_capacity(w_hz: float, big_a: float, x: float) -> float:
+    # One log per factor of 1 + SNR, so nothing overflows where A and x do not.
+    return w_hz * (math.log2(1.0 + x) + math.log2(1.0 + big_a) - math.log2(1.0 + x + big_a))
 
 
 def legit_capacity_af(params: SystemParams) -> float:
     """Hardened legitimate capacity of the AF link, bit/s."""
-    n = params.n_r
-    snr = af_snr(params.p_s * params.alpha_sr, params.p_r * params.alpha_rd, n, params.rho * n)
-    return params.w_hz * math.log2(1.0 + snr)
+    big_a, a, _ = coefficients(params)
+    return _af_capacity(params.w_hz, big_a, a * params.p_r)
 
 
 def secrecy_outage_capacity_af(params: SystemParams, *, p_s: float | None = None,
@@ -58,23 +69,13 @@ def secrecy_outage_capacity_af(params: SystemParams, *, p_s: float | None = None
 
     ``p_s``/``p_r``, when given, stand in for the powers of ``params``; the
     result equals that at ``replace(params, p_s=..., p_r=...)`` bit for bit.
-
-    Raises:
-        ArithmeticError: the eavesdropper log argument is not >= 1 (an
-            out-of-range epsilon, or power products that overflow to NaN).
+    Overflowing coefficients give NaN, which ``check_finite`` reports.
     """
-    c = (params.p_s if p_s is None else p_s) * params.alpha_sr
+    big_a, a, b = coefficients(params, p_s)
     p_r = params.p_r if p_r is None else p_r
-    n = params.n_r
-    legit = params.w_hz * math.log2(1.0 + af_snr(c, p_r * params.alpha_rd, n, params.rho * n))
-    # Rate ceded to the eavesdropper at outage level epsilon.  With
-    # 0 < epsilon <= 1 its hardened gain is >= 0, so the log argument is
-    # >= 1; anything else (including NaN from overflowing power products)
-    # means the inputs are unusable.
-    arg = 1.0 + af_snr(c, p_r * params.alpha_re, n, -math.log(params.epsilon))
-    if not arg >= 1.0:
-        raise ArithmeticError(f"AF eavesdropper log argument {arg} is not >= 1")
-    return max(legit - params.w_hz * math.log2(arg), 0.0)
+    # c_d - c_e, not one sum of four logs: c_e is then exactly 0 at epsilon = 1.
+    c_d = _af_capacity(params.w_hz, big_a, a * p_r)
+    return max(c_d - _af_capacity(params.w_hz, big_a, b * p_r), 0.0)
 
 
 def interception_probability_af(params: SystemParams) -> float:
@@ -87,17 +88,14 @@ def interception_probability_af(params: SystemParams) -> float:
     """
     if params.p_s == 0.0 or params.p_r == 0.0:
         return 1.0
-    return math.exp(-params.alpha_rd * (params.rho * params.n_r) / params.alpha_re)
-
-
-def _legit_snr_df(p_s: float, p_r: float, params: SystemParams) -> float:
-    n = params.n_r
-    return min(p_s * params.alpha_sr * n, p_r * params.alpha_rd * params.rho * n)
+    _, a, _ = coefficients(params)
+    return math.exp(-a / params.alpha_re)
 
 
 def legit_capacity_df(params: SystemParams) -> float:
     """Hardened legitimate capacity of the DF link (min of the two hops), bit/s."""
-    return params.w_hz * math.log2(1.0 + _legit_snr_df(params.p_s, params.p_r, params))
+    big_a, a, _ = coefficients(params)
+    return params.w_hz * math.log2(1.0 + min(big_a, a * params.p_r))
 
 
 def secrecy_outage_capacity_df(params: SystemParams, *, p_s: float | None = None,
@@ -107,10 +105,10 @@ def secrecy_outage_capacity_df(params: SystemParams, *, p_s: float | None = None
     ``p_s``/``p_r``, when given, stand in for the powers of ``params``; the
     result equals that at ``replace(params, p_s=..., p_r=...)`` bit for bit.
     """
-    p_s = params.p_s if p_s is None else p_s
+    big_a, a, b = coefficients(params, p_s)
     p_r = params.p_r if p_r is None else p_r
-    allowance = params.w_hz * math.log2(1.0 - p_r * params.alpha_re * math.log(params.epsilon))
-    return max(params.w_hz * math.log2(1.0 + _legit_snr_df(p_s, p_r, params)) - allowance, 0.0)
+    c_d = params.w_hz * math.log2(1.0 + min(big_a, a * p_r))
+    return max(c_d - params.w_hz * math.log2(1.0 + b * p_r), 0.0)
 
 
 def interception_probability_df(params: SystemParams) -> float:
@@ -121,8 +119,8 @@ def interception_probability_df(params: SystemParams) -> float:
     """
     if params.p_r == 0.0:
         return 0.0
-    snr_d = _legit_snr_df(params.p_s, params.p_r, params)
-    return math.exp(-snr_d / (params.p_r * params.alpha_re))
+    big_a, a, _ = coefficients(params)
+    return math.exp(-min(big_a, a * params.p_r) / (params.p_r * params.alpha_re))
 
 
 def eavesdropper_cdf_af(x: float, params: SystemParams) -> float:
@@ -140,34 +138,28 @@ def eavesdropper_cdf_af(x: float, params: SystemParams) -> float:
 def asymptotic_limit(params: SystemParams, regime, scheme) -> AsymptoticLimit:
     """High-power limits of (secrecy outage capacity, interception probability).
 
-    Each limit is that of the closed forms of this module.  AF's interception
-    probability is the power-free ``exp(-alpha_rd*rho*n_r/alpha_re)`` in both
-    regimes.  Large relay power collapses the secrecy outage capacity of both
-    schemes, and DF's interception probability tends to 1.  Large source
-    power gives DF a relay-power-dependent ceiling with AF's interception
-    probability, and AF a power-free ceiling: the double limit, ``p_s`` and
-    then ``p_r`` to infinity (at a finite ``p_r`` the AF capacity tends to a
-    ``p_r``-dependent value).  Acceptance criterion 4 pins that ceiling.
+    Each is the limit of this module's closed forms, with ``coefficients``'
+    A, a, b and P = p_r.  AF's interception probability is ``exp(-a/alpha_re)``
+    in both regimes.  Large relay power collapses both secrecy outage
+    capacities (to ``w*log2(1 + A)`` at epsilon = 1, if a > 0), and DF's
+    interception probability tends to 1.  Large source power gives DF the
+    ceiling ``w*log2((1 + aP)/(1 + bP))`` with AF's interception probability;
+    at a finite ``p_r`` the AF capacity tends to that same ceiling.  For AF
+    this reports the power-free double limit, ``p_s`` then ``p_r`` to
+    infinity, ``w*log2(a/b)``, which acceptance criterion 4 pins.
     """
-    regime = Regime(regime)
-    scheme = Scheme(scheme)
-    rho_n = params.rho * params.n_r
-    p0 = math.exp(-params.alpha_rd * rho_n / params.alpha_re)
+    regime, scheme = Regime(regime), Scheme(scheme)
+    big_a, a, b = coefficients(params)
+    p0 = math.exp(-a / params.alpha_re)
     if regime is Regime.LARGE_RELAY_POWER:
-        return AsymptoticLimit(0.0, p0 if scheme is Scheme.AF else 1.0)
-    if params.epsilon == 1.0:
-        raise ValueError("epsilon = 1 leaves the large-source-power limit undefined")
-    ln_eps = math.log(params.epsilon)
-    if scheme is Scheme.AF:
-        arg = -params.alpha_rd * rho_n / (params.alpha_re * ln_eps)
-        # rho = 0 collapses the ceiling entirely (log argument 0).
-        c_soc = params.w_hz * math.log2(arg) if arg > 0.0 else 0.0
-    else:
-        c_soc = params.w_hz * math.log2(
-            (1.0 + params.p_r * params.alpha_rd * rho_n)
-            / (1.0 - params.p_r * params.alpha_re * ln_eps)
-        )
-    return AsymptoticLimit(max(c_soc, 0.0), p0)
+        c_soc = params.w_hz * math.log2(1.0 + big_a) if b == 0.0 < a else 0.0
+        return AsymptoticLimit(c_soc, p0 if scheme is Scheme.AF else 1.0)
+    if scheme is Scheme.DF:  # its closed form, finite at p_s = inf: min(A, aP) = aP
+        return AsymptoticLimit(secrecy_outage_capacity_df(params, p_s=math.inf), p0)
+    if b == 0.0:
+        raise ValueError("epsilon = 1 leaves the AF large-source-power limit unbounded")
+    # a <= b, including rho = 0, collapses the ceiling entirely.
+    return AsymptoticLimit(params.w_hz * (math.log2(a) - math.log2(b)) if a > b else 0.0, p0)
 
 
 def check_finite(value: float, name: str, db: float | None = None) -> float:

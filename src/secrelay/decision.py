@@ -9,6 +9,7 @@ from enum import Enum
 from .analytic import (
     Scheme,
     check_finite,
+    coefficients,
     interception_probability_af,
     interception_probability_df,
     secrecy_outage_capacity_af,
@@ -66,11 +67,6 @@ def _to_db(power: float) -> float:
     return 10.0 * math.log10(power) if power > 0.0 else -math.inf
 
 
-def _coefficients(p: SystemParams) -> tuple:
-    """(A, a, b) = (p_s*alpha_sr*n_r, rho*n_r*alpha_rd, alpha_re*ln(1/eps))."""
-    return p.p_s * p.alpha_sr * p.n_r, p.rho * p.n_r * p.alpha_rd, -p.alpha_re * math.log(p.epsilon)
-
-
 def compare_schemes(params: SystemParams, criterion=Criterion.CAPACITY) -> ComparisonVerdict:
     """Compare AF and DF under the chosen criterion; near-ties go to AF.
 
@@ -117,7 +113,7 @@ def find_switching_point(params_template: SystemParams, sweep_var, lo_db: float,
         check_finite(secrecy_outage_capacity_df(params_template, **power), "DF c_soc", db)
 
     p = params_template
-    big_a, a, b = _coefficients(p)
+    big_a, a, b = coefficients(p)
     if not a > b > 0.0:
         return []
     # Both equations read q^2*x^2 + lin*x = u^2 with x = P or A.  The squares
@@ -158,7 +154,7 @@ def optimal_relay_power(
         return check_finite(soc(params_template, p_r=from_decibel(db)), f"{scheme.value} c_soc", db)
 
     f(lo_db), f(hi_db)  # overflow grows with p_r, so the bracket ends bound it
-    big_a, a, b = _coefficients(params_template)
+    big_a, a, b = coefficients(params_template)
     best = (lo_db, 0.0)  # AF's capacity when a <= b
     if scheme is Scheme.DF:
         kink_db = max(lo_db, min(hi_db, _to_db(big_a / a) if a else math.inf))

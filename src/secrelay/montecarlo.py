@@ -1,10 +1,10 @@
 """Monte Carlo estimation of secrecy outage capacity and interception
 probability from the exact per-realization SNRs.
 
-Per-draw SNRs are computed in closed form from the link statistics (for AF
-by ``analytic.af_snr``, the kernel the closed forms evaluate at the hardened
-gains), so no additive noise is ever sampled; that removes estimator variance
-without bias.
+Per-draw SNRs are computed in closed form from the link statistics, so no
+additive noise is ever sampled; that removes estimator variance without bias.
+They are this module's own arithmetic: the closed forms of ``analytic`` share
+no kernel with it, so the two stay independent checks of each other.
 The statistics themselves are drawn from their exact law, not from channel
 vectors, one counter-based substream of the seed per variate, so every
 estimate is a pure function of (params, trials, seed).  AF and DF read the
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import Scheme, af_snr
+from .analytic import Scheme
 # draw_channels and link_statistics stay importable: perfbench's tracer looks them up here.
 from .channel import draw_channels, link_statistics, trial_rng  # noqa: F401
 from .params import SystemParams
@@ -53,10 +53,15 @@ class SecrecyEstimates(NamedTuple):
     p0: McEstimate
 
 
+def _af_snr(c, h, g_sr, g):
+    """Per-draw AF SNR: c = p_s*alpha_sr, h = p_r*alpha and g of the receiver's link."""
+    return c * h * g * g_sr / (h * g + c * g_sr + 1.0)
+
+
 def _af_rates(g_sr, g_d, g_e, params: SystemParams):
     c = params.p_s * params.alpha_sr
-    snr_d = af_snr(c, params.p_r * params.alpha_rd, g_sr, g_d)
-    snr_e = af_snr(c, params.p_r * params.alpha_re, g_sr, g_e)
+    snr_d = _af_snr(c, params.p_r * params.alpha_rd, g_sr, g_d)
+    snr_e = _af_snr(c, params.p_r * params.alpha_re, g_sr, g_e)
     return params.w_hz * np.log2(1.0 + snr_d), params.w_hz * np.log2(1.0 + snr_e)
 
 
@@ -143,7 +148,7 @@ def _reduce(scheme: Scheme, g_sr, g_d, g_e, params: SystemParams,
     c_soc = McEstimate(value=max(empirical_quantile(diff, params.epsilon), 0.0),
                        std_error=_quantile_std_error(diff, params.epsilon))
     if scheme is Scheme.AF and params.p_s > 0.0 and params.p_r > 0.0:
-        # af_snr grows with p_r*alpha*g, so this is c_e >= c_d without the
+        # _af_snr grows with p_r*alpha*g, so this is c_e >= c_d without the
         # ties that rounding makes once both rates reach the first-hop value.
         intercepted = params.alpha_re * g_e >= params.alpha_rd * g_d
     else:

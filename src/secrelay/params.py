@@ -40,10 +40,13 @@ FLOAT_OVERFLOW = 2**1024 - 2**970  # the smallest integer that float() overflows
 
 
 def from_decibel(snr_db: float) -> float:
-    """Convert a dB power value to linear scale: 10**(snr_db/10)."""
+    """10**(snr_db/10), the linear power of a dB value; ValueError unless both are finite."""
     if not math.isfinite(snr_db):
         raise ValueError(f"dB value must be finite, got {snr_db!r}")
-    return 10.0 ** (snr_db / 10.0)
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"dB value {snr_db!r} overflows a linear power") from None
 
 
 def validate(params: SystemParams) -> SystemParams:

@@ -163,7 +163,11 @@ def parse_config(text: str) -> SweepSpec:
         if key in DB_FIELDS and db_key in doc:
             if key in doc:
                 raise ConfigError(db_key, f"conflicts with {key}; give one or the other")
-            values[key] = from_decibel(_require_number(doc[db_key], db_key))
+            db = _require_number(doc[db_key], db_key)
+            try:
+                values[key] = from_decibel(db)
+            except ValueError as exc:
+                raise ConfigError(db_key, str(exc)) from None
         elif key in doc:
             values[key] = _require_number(doc[key], key, integer=field.type is int)
     try:

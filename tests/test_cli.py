@@ -470,7 +470,8 @@ def test_cli_exit_codes(tmp_path):
 
 @pytest.mark.parametrize(
     "p_s_db,p_r_db,message",
-    [("3070", "10", "AF c_d is not finite (nan)"), ("2000", "2000", "AF c_d is not finite (inf)")],
+    # A = p_s*alpha_sr*n_r overflows in the first case, a*p_r in the second.
+    [("3070", "10", "AF c_d is not finite (nan)"), ("2000", "3070", "AF c_d is not finite (nan)")],
 )
 def test_cli_point_with_overflowing_powers_is_a_numeric_error(p_s_db, p_r_db, message):
     result = run_cli("point", "--p-s-db", p_s_db, "--p-r-db", p_r_db)
@@ -484,12 +485,12 @@ def test_cli_sweep_with_overflowing_powers_fails_the_row(tmp_path):
     # With Monte Carlo on, the row still reports the closed-form error.
     for mode in ({"mode": "analytic"}, {"mode": "both", "trials": 200, "seed": 42}):
         cfg = tmp_path / "huge.json"
-        cfg.write_text(config(p_r_db=2000, variable="source-power-db", grid=[10.0, 2000.0],
+        cfg.write_text(config(p_r_db=2000, variable="source-power-db", grid=[10.0, 3070.0],
                               **mode))
         out = tmp_path / "huge.csv"
         result = run_cli("sweep", "--config", str(cfg), "--out", str(out))
         assert result.returncode == 3
-        assert "row 1 (source-power-db=2000.0)" in result.stderr
+        assert "row 1 (source-power-db=3070.0)" in result.stderr
         assert "AF c_d is not finite" in result.stderr
         assert "Traceback" not in result.stderr
         assert not out.exists()
@@ -504,7 +505,7 @@ def test_cli_decision_with_overflowing_powers_is_a_numeric_error(
 ):
     cfg = tmp_path / "huge.json"
     cfg.write_text(json.dumps({
-        power_key: 2000, "epsilon": 0.05, "variable": variable,
+        power_key: 3070, "epsilon": 0.05, "variable": variable,
         "grid": {"lo": 1990, "hi": 2010, "step": 1}, "schemes": ["AF", "DF"],
         "mode": "analytic",
     }))
@@ -517,14 +518,54 @@ def test_cli_decision_with_overflowing_powers_is_a_numeric_error(
 
 def test_cli_optimize_with_an_overflowing_high_end_is_a_numeric_error(tmp_path, capsys):
     # At p_s 2000 dB the AF capacity peaks at P* = 997.8 dB, where it is
-    # finite, and is not finite from 1043.0 dB on.
+    # finite, and is not finite once a*p_r overflows, from 3063.0 dB on.
     cfg = tmp_path / "huge.json"
-    cfg.write_text(config(variable="relay-power-db", grid=[0.0, 1100.0], p_s_db=2000,
+    cfg.write_text(config(variable="relay-power-db", grid=[0.0, 3075.0], p_s_db=2000,
                           epsilon=0.05))
     assert main(["optimize", "--config", str(cfg)]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: AF c_soc is not finite (nan) at 1100 dB\n"
+    assert err == "error: AF c_soc is not finite (nan) at 3075 dB\n"
+
+
+OVERFLOW_DB = "dB value 4000.0 overflows a linear power"  # 10**400 is beyond a float
+
+
+def test_cli_point_with_a_db_power_beyond_the_float_range_names_the_value(capsys):
+    assert main(["point", "--p-s-db", "4000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {OVERFLOW_DB}\n"
+
+
+def test_cli_config_db_key_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(config(p_r_db=4000))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: p_r_db: {OVERFLOW_DB}\n"
+
+
+def test_cli_sweep_grid_db_value_beyond_the_float_range_fails_the_row(tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(config(variable="relay-power-db", grid=[10.0, 4000.0]))
+    out_path = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: row 1 (relay-power-db=4000.0): {OVERFLOW_DB}\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "switch"])
+def test_cli_bracket_end_beyond_the_float_range_names_the_value(tmp_path, capsys, command):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(config(variable="relay-power-db", grid=[0.0, 4000.0], epsilon=0.05))
+    assert main([command, "--config", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {OVERFLOW_DB}\n"
 
 
 @pytest.mark.parametrize("command", ["sweep", "optimize", "switch"])

@@ -57,9 +57,9 @@ def test_delta_is_the_literal_difference_of_the_closed_forms():
 
 @pytest.mark.parametrize("criterion", list(Criterion))
 def test_compare_with_overflowing_powers_is_a_numeric_error(criterion):
-    # Both powers at 2000 dB: the AF closed forms are NaN, and every NaN
-    # comparison is false, so an unchecked verdict would quietly pick DF.
-    p = replace(REFERENCE, p_s=from_decibel(2000.0), p_r=from_decibel(2000.0))
+    # At p_r 3070 dB a*p_r overflows: the AF closed forms are NaN, and every
+    # NaN comparison is false, so an unchecked verdict would quietly pick DF.
+    p = replace(REFERENCE, p_s=from_decibel(2000.0), p_r=from_decibel(3070.0))
     with pytest.raises(ArithmeticError, match="AF c_soc is not finite"):
         compare_schemes(p, criterion)
 
@@ -216,11 +216,10 @@ def test_df_has_no_optimum_on_a_bracket_beyond_a_over_b():
 
 def test_af_has_no_optimum_where_the_eavesdropper_gain_dominates():
     # a = rho*n_r*alpha_rd = 1e8 < b = alpha_re*ln(1/eps) = 3.0e9, so the AF
-    # capacity is zero at every relay power.  The reference scan finds
-    # 1.8e-12 bit/s of rounding noise at 80 dB; the optimizer reports none.
+    # capacity is zero at every relay power: exactly, with c_soc formed from
+    # the coefficients, so the reference scan finds no rounding noise either.
     p = replace(REFERENCE, p_s=1.0, alpha_sr=1e-3, alpha_rd=1e5, alpha_re=1e9, rho=1.0,
                 n_r=1000, epsilon=0.05)
-    noise = reference_relay_power(p, 60.0, 90.0, Scheme.AF)
-    assert 0.0 < noise.c_soc_opt < 1e-11
-    with pytest.raises(NoOptimumError):
-        optimal_relay_power(p, 60.0, 90.0, Scheme.AF)
+    for optimizer in (optimal_relay_power, reference_relay_power):
+        with pytest.raises(NoOptimumError):
+            optimizer(p, 60.0, 90.0, Scheme.AF)

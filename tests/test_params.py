@@ -18,6 +18,12 @@ def test_from_decibel_rejects_non_finite(bad):
         from_decibel(bad)
 
 
+def test_from_decibel_names_a_value_whose_linear_power_overflows():
+    assert math.isfinite(from_decibel(3080.0))
+    with pytest.raises(ValueError, match=r"dB value 4000\.0 overflows a linear power"):
+        from_decibel(4000.0)
+
+
 def test_from_decibel_is_multiplicative_and_increasing():
     rng = np.random.default_rng(7)
     xs = rng.uniform(-50.0, 50.0, size=200)

@@ -6,14 +6,17 @@ import contextlib
 import io
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secrelay.analytic import (
+    Regime,
     Scheme,
+    asymptotic_limit,
+    coefficients,
     scheme_report,
     secrecy_outage_capacity_af,
     secrecy_outage_capacity_df,
@@ -37,15 +40,15 @@ UNIT = st.floats(0.0, 1.0)
 
 
 @st.composite
-def valid_params(draw):
+def valid_params(draw, power=POWER, alpha=ALPHA, max_n_r=10_000):
     return validate(SystemParams(
-        p_s=draw(POWER),
-        p_r=draw(POWER),
-        alpha_sr=draw(ALPHA),
-        alpha_rd=draw(ALPHA),
-        alpha_re=draw(ALPHA),
+        p_s=draw(power),
+        p_r=draw(power),
+        alpha_sr=draw(alpha),
+        alpha_rd=draw(alpha),
+        alpha_re=draw(alpha),
         rho=draw(st.one_of(st.sampled_from((0.0, 1.0)), UNIT)),
-        n_r=draw(st.integers(1, 10_000)),
+        n_r=draw(st.integers(1, max_n_r)),
         w_hz=draw(log_uniform(0, 7)),
         epsilon=draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))),
     ))
@@ -58,6 +61,62 @@ def test_scheme_report_is_finite_and_in_range_over_the_validated_domain(params, 
     assert 0.0 <= report.c_soc <= report.c_d
     assert math.isfinite(report.c_d)
     assert 0.0 <= report.p0 <= 1.0
+
+
+# Powers up to 3000 dB with alphas in [1e-2, 1e2] and n_r <= 1000 keep A, aP
+# and bP finite, so every closed form is finite there.
+def wide_params():
+    return valid_params(st.one_of(st.just(0.0), log_uniform(-100, 300)), log_uniform(-2, 2), 1000)
+
+
+# Far below the closed forms' rounding at these magnitudes (< w*1e-12).
+TOL = 1e-9
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(wide_params(), st.sampled_from(Scheme))
+def test_closed_forms_are_finite_up_to_3000_db(params, scheme):
+    report = scheme_report(scheme, params)  # raises on a figure that is not finite
+    assert 0.0 <= report.c_soc <= report.c_d
+    assert 0.0 <= report.p0 <= 1.0
+    if scheme is Scheme.AF and params.epsilon == 1.0:
+        assert report.c_soc == report.c_d
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(wide_params())
+def test_capacities_approach_their_large_relay_power_limits(params):
+    # Both capacities sit within w*log2(1 + A/(1 + cP)) of their limit, with
+    # c = b (c = a at epsilon = 1, where the limit is w*log2(1 + A)); DF's
+    # interception probability within A/(P*alpha_re) of 1.  Both bounds
+    # vanish as P = p_r grows.
+    big_a, a, b = coefficients(params)
+    c = b or a
+    w = params.w_hz
+    for scheme in Scheme:
+        limit = asymptotic_limit(params, Regime.LARGE_RELAY_POWER, scheme)
+        for k in range(0, 301, 20):
+            p = replace(params, p_r=10.0 ** k)
+            report = scheme_report(scheme, p)
+            gap = w * math.log2(1.0 + big_a / (1.0 + c * p.p_r))
+            assert abs(report.c_soc - limit.c_soc_limit) <= gap + TOL * w, (scheme, k)
+            if scheme is Scheme.DF:
+                assert 1.0 - report.p0 <= big_a / (p.p_r * p.alpha_re) + 1e-15, k
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(wide_params())
+def test_af_capacity_approaches_the_df_ceiling_as_source_power_grows(params):
+    # At a fixed P = p_r the AF capacity tends to DF's large-source-power
+    # ceiling w*log2((1 + aP)/(1 + bP)), within w*log2(1 + max(a, b)P/(1 + A)).
+    _, a, b = coefficients(params)
+    ceiling = asymptotic_limit(params, Regime.LARGE_SOURCE_POWER, Scheme.DF).c_soc_limit
+    w = params.w_hz
+    for k in range(0, 301, 20):
+        p = replace(params, p_s=10.0 ** k)
+        big_a = coefficients(p)[0]
+        gap = w * math.log2(1.0 + max(a, b) * p.p_r / (1.0 + big_a))
+        assert abs(secrecy_outage_capacity_af(p) - ceiling) <= gap + TOL * w, k
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -85,16 +144,13 @@ def test_monte_carlo_estimates_are_finite_and_in_range_over_the_validated_domain
 
 def _capacities_finite_at(params, field, db):
     power = {field: from_decibel(db)}
-    try:
-        return all(math.isfinite(soc(params, **power))
-                   for soc in (secrecy_outage_capacity_af, secrecy_outage_capacity_df))
-    except ArithmeticError:
-        return False
+    return all(math.isfinite(soc(params, **power))
+               for soc in (secrecy_outage_capacity_af, secrecy_outage_capacity_df))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 # Overflow needs powers beyond the drawn ones; this example reaches it.
-@example(SystemParams(p_r=from_decibel(2000.0), epsilon=0.05), PowerAxis.SOURCE,
+@example(SystemParams(p_r=from_decibel(3070.0), epsilon=0.05), PowerAxis.SOURCE,
          [1990.0, 2010.0])
 @given(valid_params(), st.sampled_from(PowerAxis),
        st.lists(st.floats(-1000.0, 1000.0), min_size=2, max_size=2, unique=True).map(sorted))
@@ -123,8 +179,8 @@ BRACKET = st.lists(st.floats(-30.0, 90.0), min_size=2, max_size=2, unique=True).
 
 
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
-# Drawn powers do not overflow; this AF capacity does from 43.1 dB on.
-@example(SystemParams(p_s=1e300, epsilon=0.05), Scheme.AF, [-30.0, 90.0])
+# Drawn powers do not overflow; this AF capacity does (a*p_r) from 83.0 dB on.
+@example(SystemParams(alpha_rd=1e298, epsilon=0.05), Scheme.AF, [-30.0, 90.0])
 @given(valid_params(), st.sampled_from(Scheme), BRACKET)
 def test_relay_power_optimum_is_never_below_the_reference_search(params, scheme, bracket):
     # The reference scans the whole bracket and assumes nothing of the
