@@ -1,7 +1,8 @@
 """Property tests of the closed forms, the Monte Carlo estimates, the
 AF/DF switching point and the relay-power optimum over the validated
-parameter domain, of the parameter keys of a sweep config, and of the exit
-codes of ``secrelay point`` in and out of it."""
+parameter domain, of the closed forms' high-power limits, of the parameter
+keys of a sweep config, and of the exit codes of ``secrelay point`` in and
+out of it."""
 import contextlib
 import io
 import json
@@ -89,7 +90,7 @@ def test_capacities_approach_their_large_relay_power_limits(params):
     # Both capacities sit within w*log2(1 + A/(1 + cP)) of their limit, with
     # c = b (c = a at epsilon = 1, where the limit is w*log2(1 + A)); DF's
     # interception probability within A/(P*alpha_re) of 1.  Both bounds
-    # vanish as P = p_r grows.
+    # vanish as P = p_r grows (c = 0 only where c_soc and its limit are 0).
     big_a, a, b = coefficients(params)
     c = b or a
     w = params.w_hz
