@@ -481,6 +481,15 @@ def test_cli_point_with_overflowing_powers_is_a_numeric_error(p_s_db, p_r_db, me
     assert "Traceback" not in result.stderr
 
 
+def test_cli_point_at_2000_db_on_both_powers_is_finite():
+    # A, a*p_r and b*p_r are all finite here; only their product overflows.
+    result = run_cli("point", "--p-s-db", "2000", "--p-r-db", "2000")
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)
+    assert payload["AF"]["c_soc"] == pytest.approx(34275.53364663664, rel=1e-9)
+    assert payload["DF"]["c_soc"] == pytest.approx(42885.98623629939, rel=1e-9)
+
+
 def test_cli_sweep_with_overflowing_powers_fails_the_row(tmp_path):
     # With Monte Carlo on, the row still reports the closed-form error.
     for mode in ({"mode": "analytic"}, {"mode": "both", "trials": 200, "seed": 42}):
