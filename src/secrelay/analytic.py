@@ -37,10 +37,9 @@ class AsymptoticLimit(NamedTuple):
 def coefficients(params: SystemParams, p_s: float | None = None) -> tuple:
     """(A, a, b) = (p_s*alpha_sr*n_r, rho*n_r*alpha_rd, alpha_re*ln(1/epsilon)).
 
-    Every closed form reads its hardened SNRs from these, with P = p_r: for
-    AF ``(1 + x)(1 + A)/(1 + x + A)`` is 1 + SNR at x = aP (destination) and
-    x = bP (eavesdropper); for DF 1 + SNR is ``1 + min(A, aP)`` and ``1 + bP``.
-    ``p_s``, when given, stands in for that of ``params``, bit for bit.
+    Every closed form reads its hardened SNRs from these, with P = p_r: AF's
+    are ``xA/(1 + x + A)`` at x = aP (destination) and x = bP (eavesdropper), DF's
+    ``min(A, aP)`` and ``bP``.  ``p_s``, when given, stands in for that of ``params``.
 
     Raises:
         ArithmeticError: b is not >= 0 (an epsilon outside (0, 1]).
@@ -53,8 +52,13 @@ def coefficients(params: SystemParams, p_s: float | None = None) -> tuple:
 
 
 def _af_capacity(w_hz: float, big_a: float, x: float) -> float:
-    # One log per factor of 1 + SNR, so nothing overflows where A and x do not.
-    return w_hz * (math.log2(1.0 + x) + math.log2(1.0 + big_a) - math.log2(1.0 + x + big_a))
+    # SNR = xA/(1 + x + A) as 1/SNR = (1/x)(1 + 1/A) + 1/A: no step overflows or
+    # cancels, and each rounds monotonically in x, so c_d <= c_e exactly where aP <= bP.
+    if math.inf in (big_a, x):  # an overflowed A or x would silently drop a term
+        return math.nan
+    if big_a == 0.0 or x == 0.0:
+        return 0.0
+    return w_hz * math.log2(1.0 + 1.0 / ((1.0 / x) * (1.0 + 1.0 / big_a) + 1.0 / big_a))
 
 
 def legit_capacity_af(params: SystemParams) -> float:
@@ -73,7 +77,7 @@ def secrecy_outage_capacity_af(params: SystemParams, *, p_s: float | None = None
     """
     big_a, a, b = coefficients(params, p_s)
     p_r = params.p_r if p_r is None else p_r
-    # c_d - c_e, not one sum of four logs: c_e is then exactly 0 at epsilon = 1.
+    # c_d - c_e: c_e is exactly 0 at epsilon = 1, and c_soc exactly 0 where a <= b.
     c_d = _af_capacity(params.w_hz, big_a, a * p_r)
     return max(c_d - _af_capacity(params.w_hz, big_a, b * p_r), 0.0)
 
@@ -120,16 +124,14 @@ def interception_probability_df(params: SystemParams) -> float:
     if params.p_r == 0.0:
         return 0.0
     big_a, a, _ = coefficients(params)
-    return math.exp(-min(big_a, a * params.p_r) / (params.p_r * params.alpha_re))
+    return math.exp(-min(big_a / params.p_r, a) / params.alpha_re)  # no P*alpha_re to overflow
 
 
 def eavesdropper_cdf_af(x: float, params: SystemParams) -> float:
     """CDF of the hardened AF eavesdropper SNR, defined on [0, p_s*alpha_sr*n_r)."""
-    c = params.p_s * params.alpha_sr
-    e = params.p_r * params.alpha_re
-    if c <= 0.0 or e <= 0.0:
+    bound, e = coefficients(params)[0], params.p_r * params.alpha_re
+    if bound <= 0.0 or e <= 0.0:
         raise ValueError("eavesdropper SNR law requires positive p_s and p_r")
-    bound = c * params.n_r
     if not 0.0 <= x < bound:
         raise ValueError(f"x must lie in [0, {bound}), got {x}")
     return 1.0 - math.exp(-(bound + 1.0) * x / (e * (bound - x)))

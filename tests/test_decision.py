@@ -64,6 +64,17 @@ def test_compare_with_overflowing_powers_is_a_numeric_error(criterion):
         compare_schemes(p, criterion)
 
 
+def test_compare_where_every_coefficient_is_finite_matches_the_exact_capacities():
+    # At 3060 dB on both powers A = 1e308 and aP = 9e307 are finite, but
+    # 1 + aP + A is not: the AF capacity must still be the exact one, not an
+    # overflowed -inf clamped to 0.  Expectations from a 60-digit evaluation.
+    p = replace(REFERENCE, p_s=1e306, p_r=1e306)
+    verdict = compare_schemes(p, Criterion.CAPACITY)
+    assert secrecy_outage_capacity_af(p) == pytest.approx(34275.533646638345, rel=1e-12)
+    assert verdict.delta_c_soc == pytest.approx(-8610.4525896611848, rel=1e-12)
+    assert verdict.recommended is Scheme.DF
+
+
 SWITCH_TEMPLATE = replace(REFERENCE, p_r=10.0, epsilon=0.05)
 
 
@@ -216,8 +227,8 @@ def test_df_has_no_optimum_on_a_bracket_beyond_a_over_b():
 
 def test_af_has_no_optimum_where_the_eavesdropper_gain_dominates():
     # a = rho*n_r*alpha_rd = 1e8 < b = alpha_re*ln(1/eps) = 3.0e9, so the AF
-    # capacity is zero at every relay power: exactly, with c_soc formed from
-    # the coefficients, so the reference scan finds no rounding noise either.
+    # capacity is zero at every relay power: exactly, as c_d and c_e round
+    # monotonically in aP <= bP, so the reference scan finds no rounding noise.
     p = replace(REFERENCE, p_s=1.0, alpha_sr=1e-3, alpha_rd=1e5, alpha_re=1e9, rho=1.0,
                 n_r=1000, epsilon=0.05)
     for optimizer in (optimal_relay_power, reference_relay_power):

@@ -8,6 +8,7 @@ import io
 import json
 import math
 from dataclasses import asdict, fields, replace
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings
@@ -82,6 +83,49 @@ def test_closed_forms_are_finite_up_to_3000_db(params, scheme):
     assert 0.0 <= report.p0 <= 1.0
     if scheme is Scheme.AF and params.epsilon == 1.0:
         assert report.c_soc == report.c_d
+
+
+def _exact_report(scheme, params):
+    """The closed forms of analytic in 60-digit decimal arithmetic, where no
+    product or sum of the powers overflows."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = {f.name: Decimal(getattr(params, f.name)) for f in fields(params)}
+        big_a = d["p_s"] * d["alpha_sr"] * d["n_r"]
+        a, b, p = d["rho"] * d["n_r"] * d["alpha_rd"], -d["alpha_re"] * d["epsilon"].ln(), d["p_r"]
+
+        def capacity(snr):
+            return d["w_hz"] * (1 + snr).ln() / Decimal(2).ln()
+
+        if scheme is Scheme.AF:
+            c_d, c_e = (capacity(x * big_a / (1 + x + big_a)) for x in (a * p, b * p))
+            p0 = 1 if 0 in (p, d["p_s"]) else (-a / d["alpha_re"]).exp()
+        else:
+            c_d, c_e = capacity(min(big_a, a * p)), capacity(b * p)
+            p0 = 0 if p == 0 else (-min(big_a, a * p) / (p * d["alpha_re"])).exp()
+        return float(c_d), float(c_e), float(max(c_d - c_e, 0)), float(p0)
+
+
+# Powers up to the largest float, so that A, aP, bP and the sums of them
+# overflow in turn.
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@example(SystemParams(p_s=1e306, p_r=1e306), Scheme.AF)  # 1 + aP + A overflows
+@example(SystemParams(p_s=1e306, p_r=1e307, alpha_re=100.0), Scheme.DF)  # P*alpha_re overflows
+@given(valid_params(st.one_of(st.just(0.0), log_uniform(-100, 308.25))), st.sampled_from(Scheme))
+def test_closed_forms_are_exact_or_a_typed_error_up_to_the_float_range(params, scheme):
+    # A finite figure is the exact one, to rounding; an error needs a
+    # coefficient that itself overflows.
+    try:
+        report = scheme_report(scheme, params)
+    except ArithmeticError:
+        big_a, a, b = coefficients(params)
+        assert math.inf in (big_a, a * params.p_r, b * params.p_r)
+        return
+    c_d, c_e, c_soc, p0 = _exact_report(scheme, params)
+    tol = 1e-12 * max(c_d, c_e) + 1e-15 * params.w_hz
+    assert abs(report.c_d - c_d) <= tol
+    assert abs(report.c_soc - c_soc) <= tol
+    assert abs(report.p0 - p0) <= 1e-11 * p0 + 1e-300
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
