@@ -142,20 +142,22 @@ def asymptotic_limit(params: SystemParams, regime, scheme) -> AsymptoticLimit:
 
     Each is the limit of this module's closed forms, with ``coefficients``'
     A, a, b and P = p_r.  AF's interception probability is ``exp(-a/alpha_re)``
-    in both regimes.  Large relay power collapses both secrecy outage
-    capacities (to ``w*log2(1 + A)`` at epsilon = 1, if a > 0), and DF's
-    interception probability tends to 1.  Large source power gives DF the
-    ceiling ``w*log2((1 + aP)/(1 + bP))`` with AF's interception probability;
-    at a finite ``p_r`` the AF capacity tends to that same ceiling.  For AF
-    this reports the power-free double limit, ``p_s`` then ``p_r`` to
-    infinity, ``w*log2(a/b)``, which acceptance criterion 4 pins.
+    in both regimes (1.0 if the other power is 0).  Large relay power collapses
+    both secrecy outage capacities (to ``w*log2(1 + A)`` at epsilon = 1, if
+    a > 0), and DF's interception probability tends to 1.  Large source power
+    gives DF the ceiling ``w*log2((1 + aP)/(1 + bP))`` with AF's interception
+    probability (0.0 at P = 0); at a finite ``p_r`` the AF capacity tends to
+    that ceiling.  For AF this reports the power-free double limit, ``p_s``
+    then ``p_r`` to infinity, ``w*log2(a/b)``, which acceptance criterion 4 pins.
     """
     regime, scheme = Regime(regime), Scheme(scheme)
     big_a, a, b = coefficients(params)
     p0 = math.exp(-a / params.alpha_re)
     if regime is Regime.LARGE_RELAY_POWER:
         c_soc = params.w_hz * math.log2(1.0 + big_a) if b == 0.0 < a else 0.0
-        return AsymptoticLimit(c_soc, p0 if scheme is Scheme.AF else 1.0)
+        return AsymptoticLimit(c_soc, p0 if scheme is Scheme.AF and params.p_s > 0.0 else 1.0)
+    if params.p_r == 0.0:  # the conventions of zero relay power hold at every p_s
+        p0 = 1.0 if scheme is Scheme.AF else 0.0
     if scheme is Scheme.DF:  # its closed form, finite at p_s = inf: min(A, aP) = aP
         return AsymptoticLimit(secrecy_outage_capacity_df(params, p_s=math.inf), p0)
     if b == 0.0:

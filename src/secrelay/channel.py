@@ -56,6 +56,15 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     )
 
 
+def to_substream(rng: np.random.Generator, seed: int, trial: int) -> np.random.Generator:
+    """Move ``rng``, made by ``trial_rng(seed, ·)``, to where ``trial_rng(seed, trial)``
+    starts (its counter, an empty output buffer), at a fraction of a new one's cost."""
+    words = [(trial << _TRIAL_STRIDE_BITS) >> s & (2**64 - 1) for s in (0, 64, 128, 192)]
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": words, "key": [seed, 0]},
+                               "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
 def draw_channels(params: SystemParams, rng: np.random.Generator) -> ChannelDraw:
     """Sample one realization of all channel vectors from ``rng``."""
     n = int(params.n_r)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .analytic import Scheme
 # draw_channels and link_statistics stay importable: perfbench's tracer looks them up here.
-from .channel import draw_channels, link_statistics, trial_rng  # noqa: F401
+from .channel import draw_channels, link_statistics, to_substream, trial_rng  # noqa: F401
 from .params import SystemParams
 
 MIN_TRIALS = 100  # the fewest trials that resolve an outage quantile
@@ -74,13 +74,12 @@ def _df_rates(g_sr, g_d, g_e, params: SystemParams):
     return params.w_hz * np.log2(1.0 + snr_d), params.w_hz * np.log2(1.0 + snr_e)
 
 
-def _finite_rates(scheme: Scheme, g_sr, g_d, g_e, params: SystemParams):
-    rates = _af_rates if scheme is Scheme.AF else _df_rates
-    with np.errstate(over="ignore", invalid="ignore"):
-        c_d, c_e = rates(g_sr, g_d, g_e, params)
-    if not (np.isfinite(c_d).all() and np.isfinite(c_e).all()):
-        raise ArithmeticError(f"{scheme.value} Monte Carlo rates are not finite")
-    return c_d, c_e
+_RATES = {Scheme.AF: _af_rates, Scheme.DF: _df_rates}  # (c_d, c_e) per draw
+
+
+def _order_index(k: int, n: int) -> int:
+    """Index of the k-th smallest of n samples, k clamped to [1, n]."""
+    return min(max(k, 1), n) - 1
 
 
 def empirical_quantile(samples, epsilon: float) -> float:
@@ -90,8 +89,8 @@ def empirical_quantile(samples, epsilon: float) -> float:
         raise ValueError("empty sample")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    k = max(1, math.ceil(epsilon * x.size))
-    return float(np.partition(x, k - 1)[k - 1])
+    i = _order_index(math.ceil(epsilon * x.size), x.size)
+    return float(np.partition(x, i)[i])
 
 
 @functools.lru_cache
@@ -117,36 +116,37 @@ def _binom_ppf(q: float, n: int, p: float) -> int:
     return n
 
 
-def _quantile_std_error(sorted_samples: np.ndarray, epsilon: float) -> float:
-    # Order-statistic method: half-width of the 68% binomial band around k.
-    n = sorted_samples.size
-    j_lo = min(max(_binom_ppf(0.16, n, epsilon), 1), n)
-    j_hi = min(max(_binom_ppf(0.84, n, epsilon), 1), n)
-    return float(sorted_samples[j_hi - 1] - sorted_samples[j_lo - 1]) / 2.0
-
-
 def _collect_statistics(params: SystemParams, trials: int, seed: int):
     """Draw (g_sr, g_d, g_e) for all trials from their exact joint law.
 
     The three are independent: g_sr ~ Gamma(n_r, 1), g_e ~ Exp(1) and
     g_d = |sqrt(rho*G) + sqrt(1-rho)*z|^2 with G ~ Gamma(n_r, 1), z ~ CN(0, 1).
-    Each variate reads its own substream, so a collection is a prefix of any
-    longer one with the same seed.
+    Each variate reads its own substream, 0 to 3, of one generator, so a
+    collection is a prefix of any longer one with the same seed.
     """
-    g_sr = trial_rng(seed, 0).standard_gamma(params.n_r, trials)
-    gain = trial_rng(seed, 1).standard_gamma(params.n_r, trials)
-    z = trial_rng(seed, 2).standard_normal(2 * trials).view(np.complex128) * math.sqrt(0.5)
-    g_e = trial_rng(seed, 3).standard_exponential(trials)
+    rng = trial_rng(seed, 0)
+    g_sr = rng.standard_gamma(params.n_r, trials)
+    gain = to_substream(rng, seed, 1).standard_gamma(params.n_r, trials)
+    z = to_substream(rng, seed, 2).standard_normal(2 * trials).view(np.complex128) * math.sqrt(0.5)
+    g_e = to_substream(rng, seed, 3).standard_exponential(trials)
     g_d = np.abs(np.sqrt(params.rho * gain) + math.sqrt(1.0 - params.rho) * z) ** 2
     return g_sr, g_d, g_e
 
 
 def _reduce(scheme: Scheme, g_sr, g_d, g_e, params: SystemParams,
             trials: int) -> SecrecyEstimates:
-    c_d, c_e = _finite_rates(scheme, g_sr, g_d, g_e, params)
-    diff = np.sort(c_d - c_e)
-    c_soc = McEstimate(value=max(empirical_quantile(diff, params.epsilon), 0.0),
-                       std_error=_quantile_std_error(diff, params.epsilon))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_d, c_e = _RATES[scheme](g_sr, g_d, g_e, params)
+        diff = c_d - c_e
+    diff.sort()
+    # Rates are >= 0 or not finite, and NaN sorts last: a non-finite rate shows at an end.
+    if not (math.isfinite(diff[0]) and math.isfinite(diff[-1])):
+        raise ArithmeticError(f"{scheme.value} Monte Carlo rates are not finite")
+    # The epsilon-quantile; its std error is the half-width of the 68% binomial band.
+    eps = params.epsilon
+    lo, q, hi = (float(diff[_order_index(k, trials)]) for k in (
+        _binom_ppf(0.16, trials, eps), math.ceil(eps * trials), _binom_ppf(0.84, trials, eps)))
+    c_soc = McEstimate(value=max(q, 0.0), std_error=(hi - lo) / 2.0)
     if scheme is Scheme.AF and params.p_s > 0.0 and params.p_r > 0.0:
         # _af_snr grows with p_r*alpha*g, so this is c_e >= c_d without the
         # ties that rounding makes once both rates reach the first-hop value.

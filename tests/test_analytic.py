@@ -210,6 +210,26 @@ def test_asymptotic_limits_match_the_high_power_table():
     assert asymptotic_limit(p, Regime.LARGE_RELAY_POWER, Scheme.DF) == (0.0, 1.0)
 
 
+def test_asymptotic_limits_keep_the_zero_power_conventions():
+    # A power held at zero fixes p0 at every value of the other one: AF 1.0
+    # (no secrecy is possible), DF 0.0 at p_r = 0 (nothing is transmitted).
+    p = replace(REFERENCE, epsilon=0.05)
+    no_source, no_relay = replace(p, p_s=0.0), replace(p, p_r=0.0)
+    assert asymptotic_limit(no_source, Regime.LARGE_RELAY_POWER, Scheme.AF).p0_limit == 1.0
+    assert asymptotic_limit(no_relay, Regime.LARGE_SOURCE_POWER, Scheme.AF).p0_limit == 1.0
+    assert asymptotic_limit(no_relay, Regime.LARGE_SOURCE_POWER, Scheme.DF).p0_limit == 0.0
+    for big in (1e6, 1e300):
+        assert interception_probability_af(replace(no_source, p_r=big)) == 1.0
+        assert interception_probability_af(replace(no_relay, p_s=big)) == 1.0
+        assert interception_probability_df(replace(no_relay, p_s=big)) == 0.0
+    # The cases without a zero-power convention are unchanged.
+    assert asymptotic_limit(no_source, Regime.LARGE_RELAY_POWER, Scheme.DF).p0_limit == 1.0
+    assert asymptotic_limit(no_source, Regime.LARGE_SOURCE_POWER, Scheme.AF).p0_limit == (
+        pytest.approx(P0_20DB, rel=1e-9))
+    assert asymptotic_limit(no_relay, Regime.LARGE_RELAY_POWER, Scheme.AF).p0_limit == (
+        pytest.approx(P0_20DB, rel=1e-9))
+
+
 def test_asymptotic_limit_rejects_epsilon_one_at_large_source_power():
     with pytest.raises(ValueError):
         asymptotic_limit(replace(REFERENCE, epsilon=1.0), Regime.LARGE_SOURCE_POWER, Scheme.AF)

@@ -8,6 +8,7 @@ from secrelay.channel import (
     DegenerateDrawError,
     draw_channels,
     link_statistics,
+    to_substream,
     trial_rng,
 )
 from secrelay.montecarlo import _collect_statistics
@@ -70,6 +71,20 @@ def test_trial_rng_rejects_bad_inputs():
         trial_rng(2**64, 0)
     with pytest.raises(ValueError):
         trial_rng(0, -1)
+
+
+@pytest.mark.parametrize("seed", [0, 123, 2**64 - 1])
+def test_a_generator_moved_to_a_substream_draws_as_a_new_one(seed):
+    # Three 32-bit draws leave half a word and part of a block buffered;
+    # the move must drop both, whatever substream the generator was on.
+    rng = trial_rng(seed, 0)
+    for trial in (5, 1, 2**64 + 3, 0):
+        rng.integers(0, 2**32, size=3, dtype=np.uint32)
+        moved, fresh = to_substream(rng, seed, trial), trial_rng(seed, trial)
+        assert moved is rng
+        assert np.array_equal(moved.integers(0, 2**32, size=5, dtype=np.uint32),
+                              fresh.integers(0, 2**32, size=5, dtype=np.uint32))
+        assert np.array_equal(moved.standard_normal(7), fresh.standard_normal(7))
 
 
 def test_unit_scalar_statistics():

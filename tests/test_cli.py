@@ -180,6 +180,15 @@ def test_both_mode_sweep_csv_is_byte_identical_to_the_pinned_output(tmp_path):
     assert digest == "525a36076a1548e54f911df20643a50aea0c87b9ad5aeeeb59e4da0006fd0afb"
 
 
+def test_fig5_preset_csv_is_byte_identical_to_the_pinned_output(tmp_path):
+    # Pins the paper's Fig. 5 table as `secrelay sweep --preset fig5` writes
+    # it: 31 AF+DF rows of 5000 trials, closed forms and Monte Carlo.
+    out = tmp_path / "fig5.csv"
+    assert main(["sweep", "--preset", "fig5", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "24765b5b5e8af9ff2a152c79cb26ea1a1c3a7b767d8fa195f8e4e2a37187c62f"
+
+
 # ----------------------------------------------------------------- emit_report
 
 def test_csv_header_and_formatting(tmp_path):

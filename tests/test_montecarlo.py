@@ -20,7 +20,8 @@ from secrelay.montecarlo import (
     InsufficientSampleError,
     _binom_ppf,
     _collect_statistics,
-    _finite_rates,
+    _RATES,
+    _reduce,
     empirical_quantile,
     estimate,
     estimate_schemes,
@@ -40,8 +41,9 @@ def paper_estimates():
 
 
 def rates(scheme, g_sr, g_d, g_e, params=REFERENCE):
-    """(c_d, c_e) of one draw, through the path ``estimate`` runs."""
-    c_d, c_e = _finite_rates(Scheme(scheme), g_sr, g_d, g_e, params)
+    """(c_d, c_e) of one draw, through the rates ``estimate`` reads."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_d, c_e = _RATES[Scheme(scheme)](g_sr, g_d, g_e, params)
     return float(c_d), float(c_e)
 
 
@@ -98,7 +100,7 @@ def test_legit_rates_match_snrs_written_out_from_the_channel_vectors():
         y[i] = p.p_r * p.alpha_rd * abs(np.vdot(u, d.h_rd)) ** 2
     g_sr, g_d, g_e = statistics_of(draws)
     for scheme, snr in (("AF", x * y / (x + y + 1.0)), ("DF", np.minimum(x, y))):
-        c_d, _ = _finite_rates(Scheme(scheme), g_sr, g_d, g_e, p)
+        c_d, _ = _RATES[Scheme(scheme)](g_sr, g_d, g_e, p)
         np.testing.assert_allclose(c_d, p.w_hz * np.log2(1.0 + snr), rtol=1e-12, atol=0.0)
 
 
@@ -203,6 +205,47 @@ def test_sweep_draws_each_row_and_trial_once(monkeypatch):
     assert calls == [200] * len(rows)  # not once per scheme
 
 
+def _statistics_from_fresh_generators(params, trials, seed):
+    """(g_sr, g_d, g_e) as ``_collect_statistics`` documents them, each
+    variate from a new ``trial_rng(seed, k)`` of its own."""
+    g_sr = trial_rng(seed, 0).standard_gamma(params.n_r, trials)
+    gain = trial_rng(seed, 1).standard_gamma(params.n_r, trials)
+    z = trial_rng(seed, 2).standard_normal(2 * trials).view(np.complex128) * math.sqrt(0.5)
+    g_e = trial_rng(seed, 3).standard_exponential(trials)
+    g_d = np.abs(np.sqrt(params.rho * gain) + math.sqrt(1.0 - params.rho) * z) ** 2
+    return g_sr, g_d, g_e
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("rho", [0.0, 0.37, 1.0])
+def test_one_generator_per_collection_draws_the_four_substreams(seed, rho):
+    # An odd trial count leaves output in the generator's buffer when it
+    # moves to the next substream; two collections in a row show that none
+    # carries over from one to the next either.
+    p = replace(REFERENCE, rho=rho)
+    for trials in (100, 101, 1000):
+        expected = _statistics_from_fresh_generators(p, trials, seed)
+        for _ in range(2):
+            got = _collect_statistics(p, trials, seed)
+            for a, b in zip(got, expected, strict=True):
+                assert np.array_equal(a, b)
+
+
+def test_a_collection_builds_one_generator(monkeypatch):
+    import secrelay.montecarlo as montecarlo
+
+    calls = []
+
+    def counting_trial_rng(seed, trial):
+        calls.append((seed, trial))
+        return trial_rng(seed, trial)
+
+    monkeypatch.setattr(montecarlo, "trial_rng", counting_trial_rng)
+    _collect_statistics(REFERENCE, 100, 7)
+    _collect_statistics(REFERENCE, 101, 8)
+    assert calls == [(7, 0), (8, 0)]
+
+
 def test_a_collection_is_a_prefix_of_any_longer_one():
     p = replace(REFERENCE, rho=0.37)
     short = _collect_statistics(p, 200, 2**64 - 1)
@@ -220,12 +263,21 @@ def test_non_finite_rates_are_a_numeric_error():
         estimate("AF", OVERFLOW, 1000, 1)
     df = estimate("DF", OVERFLOW, 1000, 1)
     assert math.isfinite(df.c_soc.value) and df.c_soc.value > 0.0
-    with pytest.raises(ArithmeticError, match="AF Monte Carlo rates are not finite"):
-        rates("AF", 100.0, 90.0, 1.0, OVERFLOW)
+    assert not any(map(math.isfinite, rates("AF", 100.0, 90.0, 1.0, OVERFLOW)))
     assert all(map(math.isfinite, rates("DF", 100.0, 90.0, 1.0, OVERFLOW)))
     for order in (("AF", "DF"), ("DF", "AF")):
         with pytest.raises(ArithmeticError, match="AF Monte Carlo rates are not finite"):
             estimate_schemes(order, OVERFLOW, 1000, 1)
+
+
+@pytest.mark.parametrize("link", [1, 2])  # g_d, g_e
+def test_one_infinite_rate_at_either_end_of_the_sorted_gaps_is_a_numeric_error(link):
+    # DF caps both hops at an infinite first hop, so one draw gets an
+    # infinite c_d (its gap sorts last) or c_e (its gap sorts first).
+    stats = [g.copy() for g in _collect_statistics(REFERENCE, 1000, SEED)]
+    stats[0][17] = stats[link][17] = math.inf
+    with pytest.raises(ArithmeticError, match="DF Monte Carlo rates are not finite"):
+        _reduce(Scheme.DF, *stats, REFERENCE, 1000)
 
 
 def test_estimates_track_the_closed_forms(paper_estimates):
@@ -305,7 +357,7 @@ def test_importing_the_cli_loads_no_scipy():
 def test_mean_per_draw_capacity_hardens_to_the_closed_form():
     draws = (draw_channels(REFERENCE, trial_rng(SEED, i)) for i in range(4_000))
     g_sr, g_d, g_e = statistics_of(draws)
-    c_d_af, _ = _finite_rates(Scheme.AF, g_sr, g_d, g_e, REFERENCE)
-    c_d_df, _ = _finite_rates(Scheme.DF, g_sr, g_d, g_e, REFERENCE)
+    c_d_af, _ = _RATES[Scheme.AF](g_sr, g_d, g_e, REFERENCE)
+    c_d_df, _ = _RATES[Scheme.DF](g_sr, g_d, g_e, REFERENCE)
     assert c_d_af.mean() == pytest.approx(legit_capacity_af(REFERENCE), rel=0.01)
     assert c_d_df.mean() == pytest.approx(legit_capacity_df(REFERENCE), rel=0.01)

@@ -133,8 +133,9 @@ def test_closed_forms_are_exact_or_a_typed_error_up_to_the_float_range(params, s
 def test_capacities_approach_their_large_relay_power_limits(params):
     # Both capacities sit within w*log2(1 + A/(1 + cP)) of their limit, with
     # c = b (c = a at epsilon = 1, where the limit is w*log2(1 + A)); DF's
-    # interception probability within A/(P*alpha_re) of 1.  Both bounds
-    # vanish as P = p_r grows (c = 0 only where c_soc and its limit are 0).
+    # interception probability within A/(P*alpha_re) of its limit 1, and AF's
+    # at its limit.  The bounds vanish as P = p_r grows (c = 0 only where
+    # c_soc and its limit are 0).
     big_a, a, b = coefficients(params)
     c = b or a
     w = params.w_hz
@@ -145,8 +146,36 @@ def test_capacities_approach_their_large_relay_power_limits(params):
             report = scheme_report(scheme, p)
             gap = w * math.log2(1.0 + big_a / (1.0 + c * p.p_r))
             assert abs(report.c_soc - limit.c_soc_limit) <= gap + TOL * w, (scheme, k)
-            if scheme is Scheme.DF:
-                assert 1.0 - report.p0 <= big_a / (p.p_r * p.alpha_re) + 1e-15, k
+            p0_gap = big_a / (p.p_r * p.alpha_re) if scheme is Scheme.DF else 0.0
+            assert abs(report.p0 - limit.p0_limit) <= p0_gap + 1e-15, (scheme, k)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(wide_params())
+def test_figures_approach_their_large_source_power_limits(params):
+    # DF's capacity sits within w*log2((1 + aP)/(1 + A)) of its limit and its
+    # interception probability within (a - A/P)/alpha_re, both 0 once A >= aP;
+    # AF's interception probability is at its limit.  (AF's capacity limit is
+    # the double limit, which the next test and criterion 4 check.)
+    _, a, b = coefficients(params)
+    w = params.w_hz
+    for scheme in Scheme:
+        if scheme is Scheme.AF and b == 0.0:
+            with pytest.raises(ValueError):
+                asymptotic_limit(params, Regime.LARGE_SOURCE_POWER, scheme)
+            continue
+        limit = asymptotic_limit(params, Regime.LARGE_SOURCE_POWER, scheme)
+        for k in range(0, 301, 20):
+            p = replace(params, p_s=10.0 ** k)
+            report = scheme_report(scheme, p)
+            if scheme is Scheme.AF:
+                assert report.p0 == limit.p0_limit, k
+                continue
+            big_a, ap = coefficients(p)[0], a * p.p_r
+            gap = w * math.log2((1.0 + ap) / (1.0 + big_a)) if big_a < ap else 0.0
+            assert abs(report.c_soc - limit.c_soc_limit) <= gap + TOL * w, k
+            p0_gap = (a - big_a / p.p_r) / p.alpha_re if big_a < ap else 0.0
+            assert abs(report.p0 - limit.p0_limit) <= p0_gap + 1e-15, k
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
